@@ -358,14 +358,18 @@ void check_invalidation(const SourceFile& file,
             continue;
           }
           if (is_kill_at(u)) break;  // rebound: the stale value is gone
-          out.push_back(
-              {file.path, toks[u].line, std::string(config.rule),
-               "'" + std::string(b.name) + "' (from '" + b.receiver +
-                   "." + std::string(b.method) + "', line " +
-                   std::to_string(b.line) + ") used after mutating '" +
-                   m.receiver + "." + std::string(m.method) +
-                   "' on line " + std::to_string(m.line) + " — " +
-                   std::string(config.use_after_text)});
+          // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict
+          // on the equivalent chain of operator+ temporaries.
+          std::string message = "'";
+          message.append(b.name).append("' (from '").append(b.receiver);
+          message.append(".").append(b.method).append("', line ");
+          message.append(std::to_string(b.line));
+          message.append(") used after mutating '").append(m.receiver);
+          message.append(".").append(m.method).append("' on line ");
+          message.append(std::to_string(m.line)).append(" — ");
+          message.append(config.use_after_text);
+          out.push_back({file.path, toks[u].line, std::string(config.rule),
+                         std::move(message)});
           break;  // one finding per binding/mutation pair
         }
         break;  // report against the first invalidating mutation only

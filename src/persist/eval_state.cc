@@ -405,11 +405,10 @@ void EvalRestore::warm_provider(core::VolumeProvider& provider,
   std::vector<std::size_t> canonical;
   for (std::size_t i = 0; i < snapshot_->volumes.size(); ++i) {
     const auto& image = snapshot_->volumes[i];
-    // Must agree with shard_directory_volumes::shard_of so each restored
-    // volume lands in the shard that will serve its requests.
-    const auto owner =
-        util::hash_combine(image.server, util::fnv1a(image.prefix)) % shards;
-    if (owner != shard) continue;
+    if (sim::directory_volume_shard(image.server, util::fnv1a(image.prefix),
+                                    shards) != shard) {
+      continue;
+    }
     picked.push_back(&image);
     canonical.push_back(i);
   }
@@ -441,15 +440,10 @@ void EvalRestore::seed_accumulator(sim::detail::MetricAccumulator& accumulator,
     }
   }
   const auto& image = directory_ ? *translated_ : snapshot_->metrics;
-  if (shards == 1) {
-    accumulator.import_state(image, nullptr, /*take_counters=*/true);
-    return;
-  }
   accumulator.import_state(
       image,
       [shard, shards](util::InternId source) {
-        // Must agree with the parallel evaluator's source_shard function.
-        return static_cast<std::size_t>(util::mix64(source) % shards) == shard;
+        return sim::source_shard(source, shards) == shard;
       },
       /*take_counters=*/shard == 0);
 }

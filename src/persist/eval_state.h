@@ -91,7 +91,7 @@ struct EvalSnapshot {
 // Collects per-shard provider/accumulator state into a canonical
 // snapshot. `providers` holds the run's DirectoryVolumes shards (empty
 // for the probability scheme); `accumulators` the per-source-shard metric
-// state (disjoint sources). Serial runs pass one of each.
+// state (disjoint sources), as EvalResumeHooks::capture receives them.
 EvalSnapshot capture_eval_state(
     std::span<const volume::DirectoryVolumes* const> providers,
     std::span<const sim::detail::MetricAccumulator* const> accumulators,
@@ -109,10 +109,9 @@ bool save_eval_snapshot(const std::string& path, const EvalSnapshot& snapshot,
 std::optional<EvalSnapshot> load_eval_snapshot(const std::string& path,
                                                std::string& error);
 
-// Replays a snapshot into a restarting run. Use via hooks() with
-// ParallelEvaluator::run_range, or call warm_provider/seed_accumulator
-// directly with shard 0 of 1 around PredictionEvaluator::run_range. The
-// snapshot must outlive the restore and the run it seeds.
+// Replays a snapshot into a restarting run: pass hooks() to
+// ParallelEvaluator::run_range, at any thread count. The snapshot must
+// outlive the restore and the run it seeds.
 class EvalRestore {
  public:
   explicit EvalRestore(const EvalSnapshot& snapshot);

@@ -9,23 +9,29 @@
 //      frequency control, and RPV suppression; state partitions by source
 //      (the paper's pseudo-proxies are independent prediction streams,
 //      §3.1).
-// MetricAccumulator is that second half. PredictionEvaluator runs both
-// halves inline per request; ParallelEvaluator runs half 1 sharded by
-// volume and half 2 sharded by source, feeding each source's requests to
-// its accumulator in trace order — which is why both paths produce
-// bit-identical EvalResults.
+// MetricAccumulator is that second half and run_provider_half the first.
+// replay_inline runs both halves over one provider and one accumulator
+// (PredictionEvaluator, and ParallelEvaluator at one thread);
+// ParallelEvaluator at N threads runs half 1 sharded by volume and half 2
+// sharded by source, feeding each source's requests to its accumulator in
+// trace order — which is why every path produces bit-identical
+// EvalResults.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "core/filter.h"
 #include "core/piggyback.h"
 #include "core/rpv.h"
 #include "sim/prediction_eval.h"
 #include "trace/record.h"
+#include "trace/stream.h"
+#include "util/expect.h"
 #include "util/flat_map.h"
 
 namespace piggyweb::sim::detail {
@@ -124,5 +130,76 @@ EvalResult merge_results(std::span<const EvalResult> partials);
 // merged result, so the deterministic `eval.*` counters are identical
 // regardless of which path ran or how many threads it used.
 void publish_eval_result(const EvalResult& result);
+
+// Requests [base, base + count) of `view`, checked against the
+// evaluators' time-order contract incrementally: each window is sorted
+// and starts no earlier than the previous window's tail, `last_time`
+// (updated in place; start it at kNever).
+inline std::span<const trace::Request> sorted_window(trace::TraceView& view,
+                                                     std::size_t base,
+                                                     std::size_t count,
+                                                     util::Seconds& last_time) {
+  const auto window = view.window(base, count);
+  PW_EXPECT(window.empty() || window.front().time.value >= last_time);
+  PW_EXPECT(std::is_sorted(
+      window.begin(), window.end(),
+      [](const trace::Request& a, const trace::Request& b) {
+        return a.time < b.time;
+      }));
+  if (!window.empty()) last_time = window.back().time.value;
+  return window;
+}
+
+// Buffers for run_provider_half, reused across windows so the steady
+// state allocates nothing.
+struct ProviderScratch {
+  std::vector<std::size_t> rows;  // window indices driven this window
+  std::vector<core::VolumeRequest> batch;
+  std::vector<core::VolumePrediction> predictions;
+  core::PiggybackMessage message;
+  std::vector<util::InternId> resources;
+};
+
+// The provider half for one window: the requests whose index passes
+// `keep(i)` go to `provider` as one batch, in trace order; each one's
+// prediction passes the static filter, and `emit(i, volume, resources)`
+// receives the message's volume and element resource ids (valid until
+// the next emit). Templated so the per-request calls inline.
+template <typename Keep, typename Emit>
+void run_provider_half(std::span<const trace::Request> window,
+                       const trace::PathTypeTable& types,
+                       core::VolumeProvider& provider,
+                       const core::ProxyFilter& filter,
+                       const core::MetaOracle& meta, ProviderScratch& scratch,
+                       Keep&& keep, Emit&& emit) {
+  scratch.rows.clear();
+  scratch.batch.clear();
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    if (!keep(i)) continue;
+    scratch.rows.push_back(i);
+    scratch.batch.push_back(
+        make_volume_request(window[i], types.type_of(window[i].path)));
+  }
+  provider.on_request_batch(scratch.batch, scratch.predictions);
+  for (std::size_t k = 0; k < scratch.rows.size(); ++k) {
+    core::apply_filter_into(scratch.predictions[k], scratch.batch[k], filter,
+                            meta, scratch.message);
+    scratch.resources.clear();
+    for (const auto& element : scratch.message.elements) {
+      scratch.resources.push_back(element.resource);
+    }
+    emit(scratch.rows[k], scratch.message.volume,
+         std::span<const util::InternId>(scratch.resources));
+  }
+}
+
+// Both halves inline over requests [begin, end) of `view`: one batch of
+// kEvalBatchRequests per view window, provider half then metric half,
+// into `acc` (which may carry restored state). Fires config.on_progress
+// after every batch. Does not publish.
+void replay_inline(const EvalConfig& config, trace::TraceView& view,
+                   core::VolumeProvider& provider,
+                   const core::MetaOracle& meta, std::size_t begin,
+                   std::size_t end, MetricAccumulator& acc);
 
 }  // namespace piggyweb::sim::detail

@@ -27,10 +27,9 @@ ShardedProviderSpec shard_directory_volumes(
     provider->bind_paths(paths);
     return provider;
   };
-  // Must agree with DirectoryVolumes::volume_key: same (server, prefix)
-  // -> same shard, so each volume's state lives wholly in one shard. A
-  // path's prefix hash never changes, so one precomputed hash per distinct
-  // path replaces a directory_prefix scan + string hash per request.
+  // A path's prefix hash never changes, so one precomputed hash per
+  // distinct path replaces a directory_prefix scan + string hash per
+  // request.
   auto prefix_hash = std::make_shared<std::vector<std::uint64_t>>();
   prefix_hash->reserve(paths.size());
   for (std::size_t id = 0; id < paths.size(); ++id) {
@@ -39,9 +38,8 @@ ShardedProviderSpec shard_directory_volumes(
   }
   spec.shard_of = [prefix_hash = std::move(prefix_hash)](
                       const trace::Request& request, std::size_t shards) {
-    return static_cast<std::size_t>(
-        util::hash_combine(request.server, (*prefix_hash)[request.path]) %
-        shards);
+    return directory_volume_shard(request.server,
+                                  (*prefix_hash)[request.path], shards);
   };
   return spec;
 }
@@ -69,24 +67,103 @@ ShardedProviderSpec shard_probability_volumes(
   return spec;
 }
 
+namespace {
+
+// The N-shard path: stage 1 drives providers[s] with the requests
+// spec.shard_of maps to s, stage 2 feeds accumulators[w] the requests of
+// the sources source_shard maps to w, one chunk-sized window at a time.
+void replay_sharded(const EvalConfig& config, std::size_t chunk,
+                    trace::TraceView& view, const ShardedProviderSpec& spec,
+                    const core::MetaOracle& meta, std::size_t range_begin,
+                    std::size_t range_end,
+                    std::span<const std::unique_ptr<core::VolumeProvider>>
+                        providers,
+                    std::span<detail::MetricAccumulator> accumulators) {
+  const std::size_t shards = providers.size();
+  // Pool timing metrics are scheduling-dependent, hence non-deterministic;
+  // null registry -> null observer -> the pool's fast path.
+  const auto pool_metrics =
+      obs::make_pool_metrics(obs::global_metrics(), "parallel_eval.pool");
+  util::ThreadPool pool(shards, pool_metrics.get());
+
+  // Each request's provider shard is a pure function of the request; the
+  // column is computed chunk by chunk over the current window (in
+  // parallel), so its memory is bounded by the chunk size, not the range.
+  std::vector<std::uint32_t> provider_shard(
+      std::min(chunk, range_end - range_begin));
+
+  // Per-request staging slots for the current chunk, reused across chunks.
+  struct Staged {
+    core::VolumeId volume = core::kNoVolume;
+    std::vector<util::InternId> resources;
+  };
+  std::vector<Staged> staged(std::min(chunk, range_end - range_begin));
+
+  const trace::PathTypeTable types(view.paths());
+  std::vector<detail::ProviderScratch> scratch(shards);
+  util::Seconds last_time = detail::kNever;
+
+  for (std::size_t begin = range_begin; begin < range_end; begin += chunk) {
+    const auto end = std::min(begin + chunk, range_end);
+    // One window per chunk: a subspan for materialized traces, a bounded
+    // decode off the mapped columns for streaming ones. Workers only read
+    // the span, so sharing it across the two stage barriers is safe.
+    const auto window =
+        detail::sorted_window(view, begin, end - begin, last_time);
+
+    // Provider-shard column for this window, computed in parallel.
+    util::parallel_ranges(
+        pool, window.size(), [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            const auto s = spec.shard_of(window[i], shards);
+            PW_EXPECT(s < shards);
+            provider_shard[i] = static_cast<std::uint32_t>(s);
+          }
+        });
+
+    // Stage 1: drive providers and apply the static filter, one batched
+    // provider call per shard per chunk. Within a shard, requests are
+    // visited in trace order, so per-volume state evolves exactly as in
+    // the one-shard run.
+    util::parallel_shards(pool, shards, [&](std::size_t s) {
+      OBS_SPAN("parallel_eval.provider_shard");
+      detail::run_provider_half(
+          window, types, *providers[s], config.filter, meta, scratch[s],
+          [&](std::size_t i) { return provider_shard[i] == s; },
+          [&](std::size_t i, core::VolumeId volume,
+              std::span<const util::InternId> resources) {
+            staged[i].volume = volume;
+            staged[i].resources.assign(resources.begin(), resources.end());
+          });
+    });
+
+    // Stage 2: replay the staged messages through the per-source metric
+    // machine — the same MetricAccumulator the inline path uses.
+    util::parallel_shards(pool, shards, [&](std::size_t w) {
+      OBS_SPAN("parallel_eval.metric_shard");
+      auto& acc = accumulators[w];
+      for (std::size_t i = 0; i < window.size(); ++i) {
+        const auto& req = window[i];
+        if (source_shard(req.source, shards) != w) continue;
+        acc.observe(req, staged[i].volume, staged[i].resources);
+      }
+    });
+
+    if (config.on_progress) {
+      config.on_progress(
+          {end - range_begin, range_end - range_begin, pool.queue_depth()});
+    }
+  }
+}
+
+}  // namespace
+
 EvalResult ParallelEvaluator::run(const trace::Trace& trace,
                                   const ShardedProviderSpec& spec,
                                   const core::MetaOracle& meta,
                                   ParallelEvalStats* stats) {
-  return run_range(trace, spec, meta, 0, trace.requests().size(),
-                   /*publish=*/true, /*hooks=*/nullptr, stats);
-}
-
-EvalResult ParallelEvaluator::run_range(const trace::Trace& trace,
-                                        const ShardedProviderSpec& spec,
-                                        const core::MetaOracle& meta,
-                                        std::size_t range_begin,
-                                        std::size_t range_end, bool publish,
-                                        const EvalResumeHooks* hooks,
-                                        ParallelEvalStats* stats) {
   trace::MaterializedTraceView view(trace);
-  return run_range(view, spec, meta, range_begin, range_end, publish, hooks,
-                   stats);
+  return run(view, spec, meta, stats);
 }
 
 EvalResult ParallelEvaluator::run(trace::TraceView& view,
@@ -110,170 +187,59 @@ EvalResult ParallelEvaluator::run_range(trace::TraceView& view,
   PW_EXPECT(spec.make != nullptr);
   PW_EXPECT(spec.shard_of != nullptr);
 
-  const std::size_t threads =
+  const std::size_t shards =
       par_.threads != 0 ? par_.threads : util::ThreadPool::hardware_threads();
-  const std::size_t pshards =
-      par_.provider_shards != 0 ? par_.provider_shards : threads;
-  const std::size_t sshards =
-      par_.source_shards != 0 ? par_.source_shards : threads;
   const std::size_t chunk = par_.chunk_requests != 0
                                 ? par_.chunk_requests
                                 : std::size_t{1} << 15;
 
-  // Pool timing metrics are scheduling-dependent, hence non-deterministic;
-  // null registry -> null observer -> the pool's fast path.
-  const auto pool_metrics =
-      obs::make_pool_metrics(obs::global_metrics(), "parallel_eval.pool");
-  util::ThreadPool pool(threads, pool_metrics.get());
-
-  // One provider instance per provider shard; shard-local volume state.
+  // One provider per provider shard (shard-local volume state), then one
+  // accumulator per source shard; every provider is warm before the
+  // first accumulator is seeded, as the hooks contract promises.
   std::vector<std::unique_ptr<core::VolumeProvider>> providers;
-  providers.reserve(pshards);
-  for (std::size_t s = 0; s < pshards; ++s) {
-    providers.push_back(spec.make(s, pshards));
+  providers.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    providers.push_back(spec.make(s, shards));
     PW_ENSURE(providers.back() != nullptr);
-  }
-  if (hooks != nullptr && hooks->warm_provider) {
-    for (std::size_t s = 0; s < pshards; ++s) {
-      hooks->warm_provider(*providers[s], s, pshards);
+    if (hooks != nullptr && hooks->warm_provider) {
+      hooks->warm_provider(*providers[s], s, shards);
     }
   }
-
-  // Each request's provider shard is a pure function of the request; the
-  // column is computed chunk by chunk over the current window (in
-  // parallel), so its memory is bounded by the chunk size, not the range.
-  std::vector<std::uint32_t> provider_shard(
-      std::min(chunk, range_end - range_begin));
-
-  const auto source_shard = [sshards](util::InternId source) {
-    return static_cast<std::size_t>(util::mix64(source) % sshards);
-  };
-
-  // Per-source-shard metric state, persistent across chunks.
   std::vector<detail::MetricAccumulator> accumulators;
-  accumulators.reserve(sshards);
-  for (std::size_t s = 0; s < sshards; ++s) {
+  accumulators.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
     accumulators.emplace_back(config_);
-  }
-  if (hooks != nullptr && hooks->seed_accumulator) {
-    for (std::size_t s = 0; s < sshards; ++s) {
-      hooks->seed_accumulator(accumulators[s], s, sshards);
+    if (hooks != nullptr && hooks->seed_accumulator) {
+      hooks->seed_accumulator(accumulators[s], s, shards);
     }
   }
 
-  // Per-request staging slots for the current chunk, reused across chunks.
-  struct Staged {
-    core::VolumeId volume = core::kNoVolume;
-    std::vector<util::InternId> resources;
-  };
-  std::vector<Staged> staged(std::min(chunk, range_end - range_begin));
-
-  // Per-provider-shard batching scratch, persistent across chunks so the
-  // steady state allocates nothing.
-  const trace::PathTypeTable types(view.paths());
-  struct ShardScratch {
-    std::vector<std::size_t> rows;  // window-relative indices owned this chunk
-    std::vector<core::VolumeRequest> batch;
-    std::vector<core::VolumePrediction> predictions;
-    core::PiggybackMessage message;
-  };
-  std::vector<ShardScratch> scratch(pshards);
-  util::Seconds last_time = detail::kNever;
-
-  for (std::size_t begin = range_begin; begin < range_end; begin += chunk) {
-    const auto end = std::min(begin + chunk, range_end);
-    // One window per chunk: a subspan for materialized traces, a bounded
-    // decode off the mapped columns for streaming ones. Workers only read
-    // the span, so sharing it across the two stage barriers is safe.
-    const auto window = view.window(begin, end - begin);
-
-    // Incremental sortedness contract, window by window.
-    PW_EXPECT(window.empty() || window.front().time.value >= last_time);
-    PW_EXPECT(std::is_sorted(window.begin(), window.end(),
-                             [](const trace::Request& a,
-                                const trace::Request& b) {
-                               return a.time < b.time;
-                             }));
-    if (!window.empty()) last_time = window.back().time.value;
-
-    // Provider-shard column for this window, computed in parallel.
-    util::parallel_ranges(
-        pool, window.size(), [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            const auto s = spec.shard_of(window[i], pshards);
-            PW_EXPECT(s < pshards);
-            provider_shard[i] = static_cast<std::uint32_t>(s);
-          }
-        });
-
-    // Stage 1: drive providers and apply the static filter, one batched
-    // provider call per shard per chunk. Within a shard, requests are
-    // visited in trace order, so per-volume state evolves exactly as in
-    // the serial run.
-    util::parallel_shards(pool, pshards, [&](std::size_t s) {
-      OBS_SPAN("parallel_eval.provider_shard");
-      auto& sc = scratch[s];
-      sc.rows.clear();
-      sc.batch.clear();
-      for (std::size_t i = 0; i < window.size(); ++i) {
-        if (provider_shard[i] != s) continue;
-        sc.rows.push_back(i);
-        sc.batch.push_back(detail::make_volume_request(
-            window[i], types.type_of(window[i].path)));
-      }
-      providers[s]->on_request_batch(sc.batch, sc.predictions);
-      for (std::size_t k = 0; k < sc.rows.size(); ++k) {
-        core::apply_filter_into(sc.predictions[k], sc.batch[k],
-                                config_.filter, meta, sc.message);
-        auto& slot = staged[sc.rows[k]];
-        slot.volume = sc.message.volume;
-        slot.resources.clear();
-        slot.resources.reserve(sc.message.elements.size());
-        for (const auto& element : sc.message.elements) {
-          slot.resources.push_back(element.resource);
-        }
-      }
-    });
-
-    // Stage 2: replay the staged messages through the per-source metric
-    // machine — the same MetricAccumulator the serial evaluator uses.
-    util::parallel_shards(pool, sshards, [&](std::size_t w) {
-      OBS_SPAN("parallel_eval.metric_shard");
-      auto& acc = accumulators[w];
-      for (std::size_t i = 0; i < window.size(); ++i) {
-        const auto& req = window[i];
-        if (source_shard(req.source) != w) continue;
-        const auto& slot = staged[i];
-        acc.observe(req, slot.volume, slot.resources);
-      }
-    });
-
-    if (config_.on_progress) {
-      config_.on_progress(
-          {end - range_begin, range_end - range_begin, pool.queue_depth()});
-    }
+  if (shards == 1) {
+    detail::replay_inline(config_, view, *providers[0], meta, range_begin,
+                          range_end, accumulators[0]);
+  } else {
+    replay_sharded(config_, chunk, view, spec, meta, range_begin, range_end,
+                   providers, accumulators);
   }
 
   if (hooks != nullptr && hooks->capture) {
     std::vector<core::VolumeProvider*> provider_ptrs;
-    provider_ptrs.reserve(pshards);
+    provider_ptrs.reserve(shards);
     for (const auto& provider : providers) {
       provider_ptrs.push_back(provider.get());
     }
     std::vector<detail::MetricAccumulator*> accumulator_ptrs;
-    accumulator_ptrs.reserve(sshards);
+    accumulator_ptrs.reserve(shards);
     for (auto& acc : accumulators) accumulator_ptrs.push_back(&acc);
     hooks->capture(provider_ptrs, accumulator_ptrs);
   }
 
   std::vector<EvalResult> partials;
-  partials.reserve(sshards);
+  partials.reserve(shards);
   for (const auto& acc : accumulators) partials.push_back(acc.result());
 
   if (stats != nullptr) {
-    stats->threads = pool.thread_count();
-    stats->provider_shards = pshards;
-    stats->source_shards = sshards;
+    stats->threads = shards;
     stats->volume_count = 0;
     for (const auto& provider : providers) {
       stats->volume_count += provider->volume_count();
@@ -282,15 +248,12 @@ EvalResult ParallelEvaluator::run_range(trace::TraceView& view,
   auto result = detail::merge_results(partials);
   if (publish) detail::publish_eval_result(result);
   if (auto* metrics = obs::global_metrics(); metrics != nullptr) {
-    // Parallel-shape gauges: a serial run never sets these, and a bigger
-    // pool changes them, so they are non-deterministic by definition.
+    // Parallel-shape gauges: PredictionEvaluator never sets these, and a
+    // bigger pool changes them, so they are non-deterministic by
+    // definition.
     constexpr bool kDet = false;
     metrics->gauge("parallel_eval.threads", kDet)
-        .set_max(static_cast<double>(pool.thread_count()));
-    metrics->gauge("parallel_eval.provider_shards", kDet)
-        .set_max(static_cast<double>(pshards));
-    metrics->gauge("parallel_eval.source_shards", kDet)
-        .set_max(static_cast<double>(sshards));
+        .set_max(static_cast<double>(shards));
     metrics->gauge("parallel_eval.chunk_requests", kDet)
         .set_max(static_cast<double>(chunk));
   }

@@ -2,7 +2,9 @@
 //
 // Replays a trace through a volume provider + proxy filter on N worker
 // threads while producing results *bit-identical* to PredictionEvaluator —
-// for any trace, configuration, and thread count. The trace is processed
+// for any trace, configuration, and thread count. At one thread both
+// halves run inline, exactly PredictionEvaluator's loop: no pool, no
+// shard column, no chunk barrier. At N > 1 threads the trace is processed
 // in time-ordered chunks, each chunk in two stages:
 //
 //   stage 1 (provider): requests are sharded by *volume key* (server +
@@ -19,10 +21,11 @@
 //     staged messages through the shared MetricAccumulator — the same
 //     code the serial evaluator runs.
 //
-// Per-shard partial results merge by integer addition, so the totals do
-// not depend on thread count or scheduling. Directory-volume ids are
-// numbered offset/stride per shard (globally unique), which RPV equality
-// checks cannot distinguish from serial numbering.
+// Both stages use N shards. Per-shard partial results merge by integer
+// addition, so the totals do not depend on thread count or scheduling.
+// Directory-volume ids are numbered offset/stride per shard (globally
+// unique), which RPV equality checks cannot distinguish from serial
+// numbering.
 #pragma once
 
 #include <cstddef>
@@ -31,18 +34,39 @@
 #include <span>
 
 #include "sim/prediction_eval.h"
+#include "util/hash.h"
 #include "volume/directory.h"
 #include "volume/probability.h"
 
 namespace piggyweb::sim {
 
+namespace detail {
+class MetricAccumulator;
+}
+
 struct ParallelEvalConfig {
-  std::size_t threads = 0;          // 0 = hardware concurrency
-  std::size_t provider_shards = 0;  // 0 = same as threads
-  std::size_t source_shards = 0;    // 0 = same as threads
+  std::size_t threads = 0;  // 0 = hardware concurrency; 1 = inline
   // Requests per chunk; the two stages synchronize at chunk boundaries.
   std::size_t chunk_requests = 1 << 15;
 };
+
+// The two shard functions. The snapshot restore (persist/eval_state.cc)
+// calls them too, so restored state lands in the shard that serves it.
+//
+// Directory volume (server, prefix) -> provider shard, where
+// `prefix_hash` is util::fnv1a of the volume's directory prefix; this is
+// the volume key of DirectoryVolumes, so a volume lives in one shard.
+inline std::size_t directory_volume_shard(util::InternId server,
+                                          std::uint64_t prefix_hash,
+                                          std::size_t shards) {
+  return static_cast<std::size_t>(util::hash_combine(server, prefix_hash) %
+                                  shards);
+}
+
+// Source (pseudo-proxy) -> metric shard.
+inline std::size_t source_shard(util::InternId source, std::size_t shards) {
+  return static_cast<std::size_t>(util::mix64(source) % shards);
+}
 
 // How to build and address per-shard provider instances.
 struct ShardedProviderSpec {
@@ -76,9 +100,7 @@ ShardedProviderSpec shard_probability_volumes(
     const volume::ProbabilityVolumeSet* set, std::size_t max_candidates);
 
 struct ParallelEvalStats {
-  std::size_t threads = 0;
-  std::size_t provider_shards = 0;
-  std::size_t source_shards = 0;
+  std::size_t threads = 0;       // = provider shards = source shards
   std::size_t volume_count = 0;  // summed over shard providers
 };
 
@@ -86,7 +108,8 @@ struct ParallelEvalStats {
 // ordering: every warm_provider call completes before any request is
 // processed, seed_accumulator likewise, and capture runs after the last
 // request of the range, before results merge — so captured state is
-// exactly the state an uninterrupted run would carry past `end`.
+// exactly the state an uninterrupted run would carry past `end`. A
+// one-thread run has one shard of each (shard 0 of 1).
 struct EvalResumeHooks {
   // Seed one freshly built provider shard's volume state.
   std::function<void(core::VolumeProvider& provider, std::size_t shard,
@@ -115,25 +138,17 @@ class ParallelEvaluator {
                  const ShardedProviderSpec& provider,
                  const core::MetaOracle& meta,
                  ParallelEvalStats* stats = nullptr);
-
-  // Checkpoint-grade variant: replays requests [begin, end) with optional
-  // resume hooks (nullptr = cold start). Publishes the eval.* metrics only
-  // when `publish` is set — a partial run's counters are not final.
-  EvalResult run_range(const trace::Trace& trace,
-                       const ShardedProviderSpec& provider,
-                       const core::MetaOracle& meta, std::size_t begin,
-                       std::size_t end, bool publish,
-                       const EvalResumeHooks* hooks,
-                       ParallelEvalStats* stats = nullptr);
-
-  // Batch-cursor variants over a TraceView (streaming or wrapped
-  // in-memory): one chunk-sized window is decoded per chunk and the
-  // provider-shard column is computed per chunk, so memory stays bounded
-  // by the chunk size regardless of trace length. Bit-identical to the
-  // Trace overloads, which delegate here.
   EvalResult run(trace::TraceView& view, const ShardedProviderSpec& provider,
                  const core::MetaOracle& meta,
                  ParallelEvalStats* stats = nullptr);
+
+  // The one range/checkpoint entry point; both run overloads delegate
+  // here. Replays requests [begin, end) of `view` (streaming, or an
+  // in-memory trace through trace::MaterializedTraceView) with optional
+  // resume hooks (nullptr = cold start). Windows are decoded one batch or
+  // chunk at a time, so memory stays bounded regardless of trace length.
+  // Publishes the eval.* metrics only when `publish` is set — a partial
+  // run's counters are not final.
   EvalResult run_range(trace::TraceView& view,
                        const ShardedProviderSpec& provider,
                        const core::MetaOracle& meta, std::size_t begin,

@@ -31,10 +31,6 @@ class TraceView;
 
 namespace piggyweb::sim {
 
-namespace detail {
-class MetricAccumulator;
-}
-
 struct EvalProgress {
   std::size_t done = 0;         // requests completed within the range
   std::size_t total = 0;        // requests in the evaluated range
@@ -57,10 +53,10 @@ struct EvalConfig {
   util::Seconds min_piggyback_interval = 0;
 
   // Progress heartbeat, fired on the evaluating (calling) thread after
-  // each internal batch (serial path) or chunk barrier (parallel path)
+  // each internal batch (inline path) or chunk barrier (sharded path)
   // with the requests completed so far within the evaluated range.
   // queue_depth is the worker-pool backlog at that instant — always 0 on
-  // the serial path. Purely observational: results are bit-identical
+  // the inline path. Purely observational: results are bit-identical
   // with or without a callback installed. Null = off.
   std::function<void(const EvalProgress&)> on_progress;
 };
@@ -110,6 +106,9 @@ struct EvalResult {
   }
 };
 
+// Serial evaluator over one caller-owned provider. Checkpointed and
+// ranged runs go through ParallelEvaluator::run_range, which at one
+// thread runs this same loop.
 class PredictionEvaluator {
  public:
   explicit PredictionEvaluator(const EvalConfig& config) : config_(config) {}
@@ -119,28 +118,13 @@ class PredictionEvaluator {
   EvalResult run(const trace::Trace& trace, core::VolumeProvider& provider,
                  const core::MetaOracle& meta);
 
-  // Checkpoint-grade variant: replays requests [begin, end) through `acc`,
-  // whose per-source state (and the provider's volume state) may have been
-  // seeded from a snapshot, and returns acc's cumulative result. Publishes
-  // the eval.* metrics only when `publish` is set — a partial run's
-  // counters are not final.
-  EvalResult run_range(const trace::Trace& trace,
-                       core::VolumeProvider& provider,
-                       const core::MetaOracle& meta, std::size_t begin,
-                       std::size_t end, detail::MetricAccumulator& acc,
-                       bool publish);
-
-  // Batch-cursor variants: replay straight off a TraceView (a streaming
+  // Batch-cursor variant: replays straight off a TraceView (a streaming
   // PIGGYTRC cursor or a wrapped in-memory trace) without materializing a
-  // Trace. Results are bit-identical to the Trace overloads — the Trace
-  // overloads delegate here through a MaterializedTraceView. The view's
-  // windows must be time-sorted (checked incrementally, window by window).
+  // Trace. The Trace overload delegates here through a
+  // MaterializedTraceView. The view's windows must be time-sorted
+  // (checked incrementally, window by window).
   EvalResult run(trace::TraceView& view, core::VolumeProvider& provider,
                  const core::MetaOracle& meta);
-  EvalResult run_range(trace::TraceView& view, core::VolumeProvider& provider,
-                       const core::MetaOracle& meta, std::size_t begin,
-                       std::size_t end, detail::MetricAccumulator& acc,
-                       bool publish);
 
  private:
   EvalConfig config_;

@@ -84,10 +84,13 @@ Topology uniform_tree_topology(const UniformTreeSpec& spec) {
       const int fan = level == 0 ? 1 : spec.fanout;
       for (int c = 0; c < fan; ++c) {
         ProxyNodeSpec node;
-        node.name = level == 0
-                        ? "root"
-                        : "l" + std::to_string(level) + "." +
-                              std::to_string(current_level.size());
+        // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict
+        // on the equivalent chain of operator+ temporaries.
+        node.name = level == 0 ? "root" : "l";
+        if (level != 0) {
+          node.name.append(std::to_string(level)).append(".");
+          node.name.append(std::to_string(current_level.size()));
+        }
         node.parent = level == 0 ? -1 : previous_level[p];
         node.cache = cache;
         node.enable_coherency = spec.enable_coherency;

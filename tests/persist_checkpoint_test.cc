@@ -1,7 +1,8 @@
 // Whole-run checkpoint/resume equivalence: interrupt an evaluation run at
 // an arbitrary request, snapshot, and prove the warm-started continuation
-// produces an EvalResult bit-identical to the uninterrupted run — serial
-// and parallel, directory and probability schemes, across thread counts.
+// produces an EvalResult bit-identical to the uninterrupted run — inline
+// (one thread) and sharded, directory and probability schemes, across
+// thread counts.
 // Also covers the canonical-bytes guarantee (the snapshot does not depend
 // on the saving run's thread count) and the engine node-state round trip.
 #include "persist/eval_state.h"
@@ -15,12 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "obs/registry.h"
 #include "persist/engine_state.h"
 #include "server/meta.h"
 #include "sim/engine.h"
 #include "sim/parallel_eval.h"
 #include "sim/prediction_eval.h"
 #include "trace/profiles.h"
+#include "trace/stream.h"
 #include "volume/directory.h"
 #include "volume/probability.h"
 
@@ -67,71 +70,35 @@ sim::EvalResult serial_baseline(const sim::EvalConfig& config) {
   return sim::PredictionEvaluator(config).run(workload().trace, volumes, meta);
 }
 
-// Capture a snapshot of a serial directory run stopped after `mid`.
-EvalSnapshot capture_serial_directory(const sim::EvalConfig& config,
-                                      std::size_t mid) {
+// Replays [begin, end) of the workload through the one range entry point
+// with `hooks`; chunk_requests is small so sharded runs cross several
+// chunk barriers even on the tiny trace.
+sim::EvalResult run_range(const sim::EvalConfig& config,
+                          const sim::ShardedProviderSpec& spec,
+                          std::size_t begin, std::size_t end,
+                          std::size_t threads, sim::EvalResumeHooks& hooks) {
   const auto& trace = workload().trace;
-  volume::DirectoryVolumes volumes(directory_config());
-  volumes.bind_paths(trace.paths());
+  trace::MaterializedTraceView view(trace);
   server::TraceMetaOracle meta(trace);
-  sim::detail::MetricAccumulator acc(config);
-  sim::PredictionEvaluator(config).run_range(trace, volumes, meta, 0, mid,
-                                             acc, /*publish=*/false);
-  const auto dvc = directory_config();
-  const volume::DirectoryVolumes* providers[] = {&volumes};
-  const sim::detail::MetricAccumulator* accumulators[] = {&acc};
-  return capture_eval_state(providers, accumulators,
-                            make_eval_config_echo("directory", config, &dvc),
-                            mid, trace.size(), trace_fingerprint(trace));
+  sim::ParallelEvalConfig par;
+  par.threads = threads;
+  par.chunk_requests = 256;
+  return sim::ParallelEvaluator(config, par)
+      .run_range(view, spec, meta, begin, end, /*publish=*/false, &hooks);
 }
 
-TEST(CheckpointResume, SerialDirectoryMatchesUninterrupted) {
-  const auto config = eval_config();
-  const auto& trace = workload().trace;
-  ASSERT_GT(trace.size(), 400u);
-  const auto baseline = serial_baseline(config);
-
-  for (const std::size_t mid :
-       {trace.size() / 7, trace.size() / 2, trace.size() - 1}) {
-    const auto snapshot = capture_serial_directory(config, mid);
-
-    // The container round trips exactly: serialize -> parse -> serialize
-    // is a byte identity.
-    const auto bytes = serialize_eval_snapshot(snapshot);
-    std::string error;
-    const auto parsed = parse_eval_snapshot(bytes, error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-    EXPECT_EQ(serialize_eval_snapshot(*parsed), bytes);
-    EXPECT_EQ(parsed->next_request, mid);
-
-    // Warm-start a fresh provider/accumulator pair and finish the run.
-    EvalRestore restore(*parsed);
-    volume::DirectoryVolumes volumes(directory_config());
-    volumes.bind_paths(trace.paths());
-    server::TraceMetaOracle meta(trace);
-    sim::detail::MetricAccumulator acc(config);
-    restore.warm_provider(volumes, 0, 1);
-    restore.seed_accumulator(acc, 0, 1);
-    const auto resumed = sim::PredictionEvaluator(config).run_range(
-        trace, volumes, meta, restore.next_request(), trace.size(), acc,
-        /*publish=*/false);
-    expect_identical(baseline, resumed);
-  }
-}
-
-// Capture a snapshot of a parallel directory run stopped after `mid`.
-EvalSnapshot capture_parallel_directory(const sim::EvalConfig& config,
-                                        std::size_t mid,
-                                        std::size_t threads) {
+// Capture a snapshot of a directory run at `threads` stopped after `mid`.
+EvalSnapshot capture_directory(const sim::EvalConfig& config,
+                               std::size_t mid, std::size_t threads) {
   const auto& trace = workload().trace;
   const auto dvc = directory_config();
-  const auto spec = sim::shard_directory_volumes(dvc, trace);
-  server::TraceMetaOracle meta(trace);
   std::optional<EvalSnapshot> captured;
   sim::EvalResumeHooks hooks;
   hooks.capture =
       [&](std::span<core::VolumeProvider* const> providers,
           std::span<sim::detail::MetricAccumulator* const> accumulators) {
+        EXPECT_EQ(providers.size(), threads);
+        EXPECT_EQ(accumulators.size(), threads);
         std::vector<const volume::DirectoryVolumes*> dirs;
         for (auto* provider : providers) {
           auto* directory = dynamic_cast<volume::DirectoryVolumes*>(provider);
@@ -144,60 +111,70 @@ EvalSnapshot capture_parallel_directory(const sim::EvalConfig& config,
             dirs, accs, make_eval_config_echo("directory", config, &dvc), mid,
             trace.size(), trace_fingerprint(trace));
       };
-  sim::ParallelEvalConfig par;
-  par.threads = threads;
-  par.chunk_requests = 256;  // several chunks even on the tiny trace
-  sim::ParallelEvaluator(config, par)
-      .run_range(trace, spec, meta, 0, mid, /*publish=*/false, &hooks);
+  run_range(config, sim::shard_directory_volumes(dvc, trace), 0, mid, threads,
+            hooks);
   return std::move(captured).value();  // throws if capture never ran
+}
+
+// Warm-start from `snapshot` at `threads` and finish the directory run.
+sim::EvalResult resume_directory(const sim::EvalConfig& config,
+                                 const EvalSnapshot& snapshot,
+                                 std::size_t threads) {
+  EvalRestore restore(snapshot);
+  auto hooks = restore.hooks();
+  return run_range(config,
+                   sim::shard_directory_volumes(directory_config(),
+                                                workload().trace),
+                   restore.next_request(), workload().trace.size(), threads,
+                   hooks);
+}
+
+TEST(CheckpointResume, SerialDirectoryMatchesUninterrupted) {
+  const auto config = eval_config();
+  const auto& trace = workload().trace;
+  ASSERT_GT(trace.size(), 400u);
+  const auto baseline = serial_baseline(config);
+
+  for (const std::size_t mid :
+       {trace.size() / 7, trace.size() / 2, trace.size() - 1}) {
+    const auto snapshot = capture_directory(config, mid, 1);
+
+    // The container round trips exactly: serialize -> parse -> serialize
+    // is a byte identity.
+    const auto bytes = serialize_eval_snapshot(snapshot);
+    std::string error;
+    const auto parsed = parse_eval_snapshot(bytes, error);
+    ASSERT_TRUE(parsed.has_value()) << error;
+    EXPECT_EQ(serialize_eval_snapshot(*parsed), bytes);
+    EXPECT_EQ(parsed->next_request, mid);
+
+    // Warm-start a fresh one-thread run and finish it.
+    expect_identical(baseline, resume_directory(config, *parsed, 1));
+  }
 }
 
 TEST(CheckpointResume, SnapshotBytesAreThreadCountInvariant) {
   const auto config = eval_config();
   const auto mid = workload().trace.size() / 2;
-  const auto serial_bytes =
-      serialize_eval_snapshot(capture_serial_directory(config, mid));
-  for (const std::size_t threads : {1u, 3u}) {
-    const auto parallel_bytes = serialize_eval_snapshot(
-        capture_parallel_directory(config, mid, threads));
-    EXPECT_EQ(parallel_bytes, serial_bytes) << threads << " threads";
+  const auto one_thread_bytes =
+      serialize_eval_snapshot(capture_directory(config, mid, 1));
+  for (const std::size_t threads : {2u, 3u}) {
+    const auto sharded_bytes =
+        serialize_eval_snapshot(capture_directory(config, mid, threads));
+    EXPECT_EQ(sharded_bytes, one_thread_bytes) << threads << " threads";
   }
 }
 
 TEST(CheckpointResume, CrossThreadCountResumeMatchesUninterrupted) {
   const auto config = eval_config();
-  const auto& trace = workload().trace;
-  const auto mid = trace.size() / 3;
+  const auto mid = workload().trace.size() / 3;
   const auto baseline = serial_baseline(config);
 
-  // Save under one thread count, resume under others (including serial).
-  const auto snapshot = capture_parallel_directory(config, mid, 2);
-  const auto dvc = directory_config();
-  server::TraceMetaOracle meta(trace);
-
+  // Save under one thread count, resume under others (including one).
+  const auto snapshot = capture_directory(config, mid, 2);
   for (const std::size_t threads : {1u, 4u}) {
-    EvalRestore restore(snapshot);
-    auto hooks = restore.hooks();
-    const auto spec = sim::shard_directory_volumes(dvc, trace);
-    sim::ParallelEvalConfig par;
-    par.threads = threads;
-    par.chunk_requests = 256;
-    const auto resumed =
-        sim::ParallelEvaluator(config, par)
-            .run_range(trace, spec, meta, restore.next_request(), trace.size(),
-                       /*publish=*/false, &hooks);
-    expect_identical(baseline, resumed);
+    expect_identical(baseline, resume_directory(config, snapshot, threads));
   }
-
-  EvalRestore restore(snapshot);
-  volume::DirectoryVolumes volumes(directory_config());
-  volumes.bind_paths(trace.paths());
-  sim::detail::MetricAccumulator acc(config);
-  restore.warm_provider(volumes, 0, 1);
-  restore.seed_accumulator(acc, 0, 1);
-  const auto resumed = sim::PredictionEvaluator(config).run_range(
-      trace, volumes, meta, mid, trace.size(), acc, /*publish=*/false);
-  expect_identical(baseline, resumed);
 }
 
 TEST(CheckpointResume, ProbabilitySchemeRoundTrip) {
@@ -213,45 +190,65 @@ TEST(CheckpointResume, ProbabilitySchemeRoundTrip) {
   for (util::InternId r = 0; r < 20; ++r) {
     set.add_volume(r, {{(r + 1) % 20, 0.8, 0.5}, {(r + 7) % 20, 0.4, 0.2}});
   }
+  const auto spec = sim::shard_probability_volumes(&set, 10);
 
   volume::ProbabilityVolumes serial_provider(&set, 10);
   const auto baseline =
       sim::PredictionEvaluator(config).run(trace, serial_provider, meta);
 
-  // Stop at mid, snapshot (no providers for the probability scheme).
-  volume::ProbabilityVolumes half_provider(&set, 10);
-  sim::detail::MetricAccumulator acc(config);
-  sim::PredictionEvaluator(config).run_range(trace, half_provider, meta, 0,
-                                             mid, acc, /*publish=*/false);
-  const sim::detail::MetricAccumulator* accumulators[] = {&acc};
-  const auto snapshot = capture_eval_state(
-      {}, accumulators, make_eval_config_echo("probability", config, nullptr),
-      mid, trace.size(), trace_fingerprint(trace));
-  const auto bytes = serialize_eval_snapshot(snapshot);
+  // Stop at mid on one thread, snapshot (no volumes for the probability
+  // scheme).
+  std::optional<EvalSnapshot> snapshot;
+  sim::EvalResumeHooks capture;
+  capture.capture =
+      [&](std::span<core::VolumeProvider* const> /*providers*/,
+          std::span<sim::detail::MetricAccumulator* const> accumulators) {
+        std::vector<const sim::detail::MetricAccumulator*> accs(
+            accumulators.begin(), accumulators.end());
+        snapshot = capture_eval_state(
+            {}, accs, make_eval_config_echo("probability", config, nullptr),
+            mid, trace.size(), trace_fingerprint(trace));
+      };
+  run_range(config, spec, 0, mid, 1, capture);
+  ASSERT_TRUE(snapshot.has_value());
+  const auto bytes = serialize_eval_snapshot(*snapshot);
   std::string error;
   const auto parsed = parse_eval_snapshot(bytes, error);
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_TRUE(parsed->volumes.empty());
   EXPECT_EQ(serialize_eval_snapshot(*parsed), bytes);
 
-  // Resume in parallel against the same set.
+  // Resume sharded against the same set.
   EvalRestore restore(*parsed);
   auto hooks = restore.hooks();
-  const auto spec = sim::shard_probability_volumes(&set, 10);
-  sim::ParallelEvalConfig par;
-  par.threads = 2;
-  par.chunk_requests = 256;
-  const auto resumed =
-      sim::ParallelEvaluator(config, par)
-          .run_range(trace, spec, meta, restore.next_request(), trace.size(),
-                     /*publish=*/false, &hooks);
-  expect_identical(baseline, resumed);
+  expect_identical(baseline, run_range(config, spec, restore.next_request(),
+                                       trace.size(), 2, hooks));
+}
+
+TEST(InlineEval, OneThreadRunBuildsNoPool) {
+  // The inline path builds no ThreadPool, so a one-thread run leaves no
+  // parallel_eval.pool.* metric behind; a two-thread run does.
+  const auto config = eval_config();
+  const auto pool_metrics = [&](std::size_t threads) {
+    obs::Registry registry;
+    obs::set_global_metrics(&registry);
+    sim::EvalResumeHooks hooks;
+    run_range(config,
+              sim::shard_directory_volumes(directory_config(),
+                                           workload().trace),
+              0, workload().trace.size(), threads, hooks);
+    obs::set_global_metrics(nullptr);
+    return registry.to_json().find("parallel_eval.pool.") !=
+           std::string::npos;
+  };
+  EXPECT_FALSE(pool_metrics(1));
+  EXPECT_TRUE(pool_metrics(2));
 }
 
 TEST(CheckpointResume, StructurallyInvalidSnapshotsAreRejected) {
   const auto config = eval_config();
   const auto mid = workload().trace.size() / 2;
-  auto snapshot = capture_serial_directory(config, mid);
+  auto snapshot = capture_directory(config, mid, 1);
 
   std::string error;
   auto broken = snapshot;
@@ -282,7 +279,7 @@ TEST(CheckpointResume, StructurallyInvalidSnapshotsAreRejected) {
 TEST(CheckpointResume, SaveLoadFileRoundTrip) {
   const auto config = eval_config();
   const auto snapshot =
-      capture_serial_directory(config, workload().trace.size() / 2);
+      capture_directory(config, workload().trace.size() / 2, 1);
   const std::string path = "checkpoint_test_roundtrip.snap";
   std::string error;
   ASSERT_TRUE(save_eval_snapshot(path, snapshot, error)) << error;

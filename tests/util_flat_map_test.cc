@@ -420,7 +420,10 @@ TEST(InternArena, ReserveKeepsIdsAndLookups) {
   EXPECT_EQ(table.intern("before-reserve"), a);
   std::string key;
   for (int i = 0; i < 5000; ++i) {
-    key = "k";
+    // Built without assigning a literal: GCC 12 at -O3 reports a false
+    // -Wrestrict on `key = "k"` here.
+    key.clear();
+    key.push_back('k');
     key += std::to_string(i);
     table.intern(key);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,14 @@
 
 namespace piggyweb::volume {
 namespace {
+
+// "<prefix><n>", appended piecewise: GCC 12 at -O3 reports a false
+// -Wrestrict on the "literal" + std::to_string(n) temporaries.
+std::string numbered(std::string_view prefix, long long n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
 
 // Build a small trace from (time, source, path) triples.
 trace::Trace make_trace(
@@ -152,7 +161,7 @@ TEST(PairCounter, SampledCountersAreSubsetOfExact) {
   trace::Trace t;
   for (int session = 0; session < 200; ++session) {
     const auto base = static_cast<util::Seconds>(session * 1000);
-    const auto client = "c" + std::to_string(session % 20);
+    const auto client = numbered("c", session % 20);
     t.add({base}, client, "server", "/page.html");
     t.add({base + 5}, client, "server", "/img1.gif");
     t.add({base + 6}, client, "server", "/img2.gif");
@@ -212,9 +221,10 @@ trace::Trace make_random_pair_trace(std::uint64_t seed, std::size_t n) {
   util::Seconds now = 0;
   for (std::size_t i = 0; i < n; ++i) {
     now += static_cast<util::Seconds>(rng.below(120));
-    t.add({now}, "c" + std::to_string(rng.below(8)), "server",
-          "/d" + std::to_string(rng.below(3)) + "/p" +
-              std::to_string(rng.below(25)));
+    const auto client = numbered("c", static_cast<long long>(rng.below(8)));
+    auto path = numbered("/d", static_cast<long long>(rng.below(3)));
+    path += numbered("/p", static_cast<long long>(rng.below(25)));
+    t.add({now}, client, "server", path);
   }
   t.sort_by_time();
   return t;

@@ -84,9 +84,9 @@ int main(int argc, char** argv) {
   flags.add_int("window", 300, "prediction window T (seconds)");
   flags.add_int("horizon", 7200, "cache horizon C (seconds)");
   flags.add_int("threads", 1,
-                "worker threads for the sharded evaluator (1 = serial, "
-                "0 = hardware concurrency); metrics are identical for "
-                "any value");
+                "evaluator worker threads (1 = both halves inline on the "
+                "calling thread, no pool; 0 = hardware concurrency); "
+                "metrics are identical for any value");
   flags.add_bool("stream", false,
                  "replay without materializing the trace: binary "
                  "containers are decoded window by window straight off "
@@ -160,9 +160,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Streaming mode drives everything through the batch-cursor TraceView;
-  // materializing mode loads a Trace as before. Both paths produce
-  // bit-identical metrics for the same log and flags.
+  // Streaming mode decodes a batch-cursor TraceView window by window off
+  // the mapping; materializing mode loads a Trace and wraps it in a
+  // MaterializedTraceView. Everything downstream reads the view, and both
+  // modes produce bit-identical metrics for the same log and flags.
   trace::Trace trace;
   std::unique_ptr<trace::TraceView> view_owner;
   std::optional<trace::LimitedTraceView> limited;
@@ -190,6 +191,8 @@ int main(int argc, char** argv) {
     if (limit > 0 && limit < trace.requests().size()) {
       trace.requests().resize(limit);
     }
+    view_owner = std::make_unique<trace::MaterializedTraceView>(trace);
+    view = view_owner.get();
   }
   if (run_scope != nullptr) {
     run_scope->note("trace", tools::trace_stats_note(load_stats));
@@ -238,11 +241,11 @@ int main(int argc, char** argv) {
   // Checkpoint plumbing shared by both schemes. The replayed range is
   // [range_begin, range_end): a resume starts where the snapshot stopped,
   // --stop-fraction moves the end short of the trace.
-  const auto total =
-      stream ? view->request_count() : trace.requests().size();
-  // Checkpointing (the fingerprint's only consumer) is materializing-only.
+  const auto total = view->request_count();
+  // The fingerprint's only consumer is checkpointing (materializing-only).
+  const bool checkpointing = !save_state.empty() || !load_state.empty();
   const auto fingerprint =
-      stream ? std::uint64_t{0} : persist::trace_fingerprint(trace);
+      checkpointing ? view->content_fingerprint() : std::uint64_t{0};
   std::optional<persist::EvalSnapshot> snapshot;
   std::optional<SnapshotNote> loaded_note;
   if (!load_state.empty()) {
@@ -275,7 +278,7 @@ int main(int argc, char** argv) {
   }
   const bool publish = range_end == total;
 
-  // One bounded pass per training consumer in streaming mode; each pass
+  // One bounded pass per set-up consumer; in streaming mode each pass
   // re-decodes windows off the mapping instead of holding the trace.
   constexpr std::size_t kScanWindow = std::size_t{1} << 16;
   const auto for_each_window = [&](auto&& fn) {
@@ -286,117 +289,24 @@ int main(int argc, char** argv) {
   };
 
   server::TraceMetaOracle meta;
-  if (stream) {
-    for_each_window([&](std::span<const trace::Request> window) {
-      meta.observe_window(window, view->paths());
-    });
-  } else {
-    meta.observe_window(trace.requests(), trace.paths());
-  }
-  sim::EvalResult result;
-  std::optional<persist::EvalSnapshot> captured;
+  for_each_window([&](std::span<const trace::Request> window) {
+    meta.observe_window(window, view->paths());
+  });
+
+  // Per scheme: the sharded provider spec and the snapshot's flag echo.
+  // Then one evaluator call serves every scheme, thread count, input mode
+  // and checkpoint combination.
   const auto scheme = flags.get_string("scheme");
-
-  // Verifies the snapshot's flag echo and reports resumption; shared by
-  // both schemes once their echo is built.
-  const auto check_resume = [&](const persist::EvalConfigEcho& echo) {
-    if (!snapshot.has_value()) return true;
-    if (!(snapshot->config == echo)) {
-      std::fprintf(stderr,
-                   "%s was saved under different flags; rerun with the "
-                   "saving run's scheme/filter options\n",
-                   load_state.c_str());
-      return false;
-    }
-    std::fprintf(info, "resuming at request %zu/%zu from %s\n", range_begin,
-                 total, load_state.c_str());
-    return true;
-  };
-  // Builds the run_range capture hook writing into `captured`; the
-  // providers span is empty for the stateless probability scheme.
-  const auto make_capture_hook = [&](const persist::EvalConfigEcho& echo,
-                                     bool directory) {
-    return [&, echo, directory](
-               std::span<core::VolumeProvider* const> providers,
-               std::span<sim::detail::MetricAccumulator* const> accumulators) {
-      std::vector<const volume::DirectoryVolumes*> dirs;
-      if (directory) {
-        dirs.reserve(providers.size());
-        for (auto* provider : providers) {
-          auto* dir = dynamic_cast<const volume::DirectoryVolumes*>(provider);
-          PW_ENSURE(dir != nullptr);
-          dirs.push_back(dir);
-        }
-      }
-      const std::vector<const sim::detail::MetricAccumulator*> accs(
-          accumulators.begin(), accumulators.end());
-      captured = persist::capture_eval_state(dirs, accs, echo, range_end,
-                                             total, fingerprint);
-    };
-  };
-
-  if (scheme == "directory") {
-    volume::DirectoryVolumeConfig dvc;
+  const bool directory = scheme == "directory";
+  sim::ShardedProviderSpec spec;
+  persist::EvalConfigEcho echo;
+  volume::DirectoryVolumeConfig dvc;
+  volume::ProbabilityVolumeSet set;
+  if (directory) {
     dvc.level = static_cast<int>(flags.get_int("level"));
-    const auto echo = persist::make_eval_config_echo("directory", config, &dvc);
-    if (!check_resume(echo)) return 1;
-    if (threads != 1) {
-      sim::ParallelEvalStats stats;
-      const auto spec = stream
-                            ? sim::shard_directory_volumes(dvc, view->paths())
-                            : sim::shard_directory_volumes(dvc, trace);
-      std::optional<persist::EvalRestore> restore;
-      sim::EvalResumeHooks hooks;
-      if (snapshot.has_value()) {
-        restore.emplace(*snapshot);
-        hooks = restore->hooks();
-      }
-      if (!save_state.empty()) {
-        hooks.capture = make_capture_hook(echo, /*directory=*/true);
-      }
-      const bool use_hooks = snapshot.has_value() || !save_state.empty();
-      result =
-          stream
-              ? sim::ParallelEvaluator(config, par)
-                    .run_range(*view, spec, meta, range_begin, range_end,
-                               publish, nullptr, &stats)
-              : sim::ParallelEvaluator(config, par)
-                    .run_range(trace, spec, meta, range_begin, range_end,
-                               publish, use_hooks ? &hooks : nullptr, &stats);
-      std::fprintf(info,
-                   "scheme: directory level-%d (%zu volumes, %zu threads)\n",
-                   dvc.level, stats.volume_count, stats.threads);
-    } else {
-      volume::DirectoryVolumes volumes(dvc);
-      if (stream) {
-        volumes.bind_paths(view->paths());
-      } else {
-        volumes.bind_paths(trace.paths());
-      }
-      sim::detail::MetricAccumulator acc(config);
-      if (snapshot.has_value()) {
-        persist::EvalRestore restore(*snapshot);
-        restore.warm_provider(volumes, 0, 1);
-        restore.seed_accumulator(acc, 0, 1);
-      }
-      result = stream
-                   ? sim::PredictionEvaluator(config).run_range(
-                         *view, volumes, meta, range_begin, range_end, acc,
-                         publish)
-                   : sim::PredictionEvaluator(config).run_range(
-                         trace, volumes, meta, range_begin, range_end, acc,
-                         publish);
-      if (!save_state.empty()) {
-        const volume::DirectoryVolumes* dirs[] = {&volumes};
-        const sim::detail::MetricAccumulator* accs[] = {&acc};
-        captured = persist::capture_eval_state(dirs, accs, echo, range_end,
-                                               total, fingerprint);
-      }
-      std::fprintf(info, "scheme: directory level-%d (%zu volumes)\n",
-                   dvc.level, volumes.volume_count());
-    }
+    spec = sim::shard_directory_volumes(dvc, view->paths());
+    echo = persist::make_eval_config_echo("directory", config, &dvc);
   } else if (scheme == "probability") {
-    volume::ProbabilityVolumeSet set;
     if (const auto volumes_path = flags.get_string("volumes");
         !volumes_path.empty()) {
       std::ifstream volumes_in(volumes_path);
@@ -413,91 +323,94 @@ int main(int argc, char** argv) {
       }
       set = std::move(*loaded);
     } else {
+      // Training never needs the trace materialized: one windowed pass
+      // builds the compact per-source observation log, the builders count
+      // from it, and the effectiveness pass replays windows.
       volume::PairCounterConfig pcc;
       pcc.window = config.prediction_window;
       const auto min_count =
           static_cast<std::uint64_t>(flags.get_int("min-count"));
-      volume::PairCounts counts;
-      if (stream) {
-        // Training never materializes the trace either: one windowed pass
-        // builds the compact per-source observation log, the builders
-        // count from it, and the effectiveness pass replays windows.
-        volume::PairObservations observations;
-        for_each_window([&](std::span<const trace::Request> window) {
-          observations.observe_window(window);
-        });
-        counts = threads != 1
-                     ? volume::ParallelPairCounterBuilder(pcc, threads)
-                           .build(observations, view->paths(), min_count)
-                     : volume::PairCounterBuilder(pcc).build(
-                           observations, view->paths(), min_count);
-      } else {
-        counts = threads != 1
-                     ? volume::ParallelPairCounterBuilder(pcc, threads)
-                           .build(trace, min_count)
-                     : volume::PairCounterBuilder(pcc).build(trace,
-                                                            min_count);
-      }
+      volume::PairObservations observations;
+      for_each_window([&](std::span<const trace::Request> window) {
+        observations.observe_window(window);
+      });
+      const auto counts =
+          threads != 1
+              ? volume::ParallelPairCounterBuilder(pcc, threads)
+                    .build(observations, view->paths(), min_count)
+              : volume::PairCounterBuilder(pcc).build(
+                    observations, view->paths(), min_count);
       volume::ProbabilityVolumeConfig pvc;
       pvc.probability_threshold = flags.get_double("pt");
       pvc.effectiveness_threshold = flags.get_double("eff");
       pvc.combine_prefix_level =
           static_cast<int>(flags.get_int("combine-level"));
       pvc.window = config.prediction_window;
-      set = stream ? volume::build_probability_volumes(*view, counts, pvc)
-                   : volume::build_probability_volumes(trace, counts, pvc);
+      set = volume::build_probability_volumes(*view, counts, pvc);
     }
+    spec = sim::shard_probability_volumes(&set, 200);
     // Probability volumes are rebuilt deterministically from the trace and
     // training flags, so only the shared eval knobs are echoed; the trace
     // fingerprint pins the input.
-    const auto echo =
-        persist::make_eval_config_echo("probability", config, nullptr);
-    if (!check_resume(echo)) return 1;
-    if (threads != 1) {
-      const auto spec = sim::shard_probability_volumes(&set, 200);
-      std::optional<persist::EvalRestore> restore;
-      sim::EvalResumeHooks hooks;
-      if (snapshot.has_value()) {
-        restore.emplace(*snapshot);
-        hooks = restore->hooks();
-      }
-      if (!save_state.empty()) {
-        hooks.capture = make_capture_hook(echo, /*directory=*/false);
-      }
-      const bool use_hooks = snapshot.has_value() || !save_state.empty();
-      result = stream
-                   ? sim::ParallelEvaluator(config, par)
-                         .run_range(*view, spec, meta, range_begin,
-                                    range_end, publish, nullptr)
-                   : sim::ParallelEvaluator(config, par)
-                         .run_range(trace, spec, meta, range_begin,
-                                    range_end, publish,
-                                    use_hooks ? &hooks : nullptr);
-    } else {
-      volume::ProbabilityVolumes provider(&set, 200);
-      sim::detail::MetricAccumulator acc(config);
-      if (snapshot.has_value()) {
-        persist::EvalRestore restore(*snapshot);
-        restore.seed_accumulator(acc, 0, 1);
-      }
-      result = stream
-                   ? sim::PredictionEvaluator(config).run_range(
-                         *view, provider, meta, range_begin, range_end, acc,
-                         publish)
-                   : sim::PredictionEvaluator(config).run_range(
-                         trace, provider, meta, range_begin, range_end, acc,
-                         publish);
-      if (!save_state.empty()) {
-        const sim::detail::MetricAccumulator* accs[] = {&acc};
-        captured = persist::capture_eval_state({}, accs, echo, range_end,
-                                               total, fingerprint);
-      }
-    }
-    std::fprintf(info, "scheme: probability (%zu volumes)\n",
-                 set.volume_count());
+    echo = persist::make_eval_config_echo("probability", config, nullptr);
   } else {
     std::fprintf(stderr, "unknown scheme '%s'\n", scheme.c_str());
     return 2;
+  }
+
+  std::optional<persist::EvalRestore> restore;
+  sim::EvalResumeHooks hooks;
+  if (snapshot.has_value()) {
+    if (!(snapshot->config == echo)) {
+      std::fprintf(stderr,
+                   "%s was saved under different flags; rerun with the "
+                   "saving run's scheme/filter options\n",
+                   load_state.c_str());
+      return 1;
+    }
+    std::fprintf(info, "resuming at request %zu/%zu from %s\n", range_begin,
+                 total, load_state.c_str());
+    restore.emplace(*snapshot);
+    hooks = restore->hooks();
+  }
+  std::optional<persist::EvalSnapshot> captured;
+  if (!save_state.empty()) {
+    // The providers span holds DirectoryVolumes shards for the directory
+    // scheme; the stateless probability scheme saves no volumes.
+    hooks.capture =
+        [&](std::span<core::VolumeProvider* const> providers,
+            std::span<sim::detail::MetricAccumulator* const> accumulators) {
+          std::vector<const volume::DirectoryVolumes*> dirs;
+          if (directory) {
+            for (auto* provider : providers) {
+              auto* dir =
+                  dynamic_cast<const volume::DirectoryVolumes*>(provider);
+              PW_ENSURE(dir != nullptr);
+              dirs.push_back(dir);
+            }
+          }
+          const std::vector<const sim::detail::MetricAccumulator*> accs(
+              accumulators.begin(), accumulators.end());
+          captured = persist::capture_eval_state(dirs, accs, echo, range_end,
+                                                 total, fingerprint);
+        };
+  }
+
+  sim::ParallelEvalStats stats;
+  const auto result =
+      sim::ParallelEvaluator(config, par)
+          .run_range(*view, spec, meta, range_begin, range_end, publish,
+                     &hooks, &stats);
+  if (!directory) {
+    std::fprintf(info, "scheme: probability (%zu volumes)\n",
+                 set.volume_count());
+  } else if (threads != 1) {
+    std::fprintf(info,
+                 "scheme: directory level-%d (%zu volumes, %zu threads)\n",
+                 dvc.level, stats.volume_count, stats.threads);
+  } else {
+    std::fprintf(info, "scheme: directory level-%d (%zu volumes)\n",
+                 dvc.level, stats.volume_count);
   }
 
   std::optional<SnapshotNote> saved_note;
