@@ -101,10 +101,9 @@ Counters run_parallel(const trace::SyntheticWorkload& w,
 }
 
 void check_directory(const trace::SyntheticWorkload& w,
-                     const sim::EvalConfig& config, int level,
+                     const sim::EvalConfig& config,
+                     const volume::DirectoryVolumeConfig& dvc,
                      const Counters& golden) {
-  volume::DirectoryVolumeConfig dvc;
-  dvc.level = level;
   server::TraceMetaOracle meta(w.trace);
   volume::DirectoryVolumes volumes(dvc);
   volumes.bind_paths(w.trace.paths());
@@ -113,6 +112,14 @@ void check_directory(const trace::SyntheticWorkload& w,
   const auto spec = sim::shard_directory_volumes(dvc, w.trace);
   expect_all_paths(serial, run_parallel(w, config, spec, meta, 1),
                    run_parallel(w, config, spec, meta, 4), golden);
+}
+
+void check_directory(const trace::SyntheticWorkload& w,
+                     const sim::EvalConfig& config, int level,
+                     const Counters& golden) {
+  volume::DirectoryVolumeConfig dvc;
+  dvc.level = level;
+  check_directory(w, config, dvc, golden);
 }
 
 void check_probability(const trace::SyntheticWorkload& w,
@@ -151,6 +158,48 @@ TEST(EvalGolden, DirectoryLevel2RpvMinInterval) {
 TEST(EvalGolden, DirectoryMinFreq) {
   check_directory(sun(), minfreq_config(), 1,
                   {10000, 6273, 9993, 77565, 20726, 4765, 3188, 2217, 611});
+}
+
+// Size and type limits: only the candidates a wireless-style proxy would
+// cache (no images, nothing over 8 KiB) fill the 20 slots.
+TEST(EvalGolden, DirectorySizeAndTypeFilter) {
+  auto config = rpv_interval_config();
+  config.filter.max_size = 8 * 1024;
+  config.filter.allow_image = false;
+  check_directory(aiusa(), config, 1,
+                  {5430, 479, 1276, 6202, 4708, 465, 770, 573, 6});
+}
+
+// A candidate budget of 8 under a strict access filter: the budget runs
+// out long before 20 elements are kept, and the self-echo and the
+// filtered-out candidates still count against it.
+TEST(EvalGolden, DirectoryCandidateBudgetBeforeMaxElements) {
+  auto config = rpv_interval_config();
+  config.filter.min_access_count = 10;
+  volume::DirectoryVolumeConfig dvc;
+  dvc.level = 1;
+  dvc.max_candidates = 8;
+  check_directory(sun(), config, dvc,
+                  {10000, 4568, 3703, 25825, 16922, 3620, 3188, 1849, 675});
+}
+
+// maxpiggy 0: volumes are maintained but no message is ever sent.
+TEST(EvalGolden, DirectoryMaxElementsZero) {
+  auto config = rpv_interval_config();
+  config.filter.max_elements = 0;
+  check_directory(aiusa(), config, 1, {5430, 0, 0, 0, 0, 0, 770, 573, 0});
+}
+
+// The fig2/fig3 sweep point: no maxpiggy, no dynamic suppression, an
+// access filter of 50, 200 candidates, level 1 (T = 5 and 15 min).
+TEST(EvalGolden, DirectoryFig2Fig3Sweep) {
+  sim::EvalConfig config;
+  config.filter.min_access_count = 50;
+  check_directory(sun(), config, 1,
+                  {10000, 6959, 9993, 100381, 27037, 5581, 3188, 1849, 881});
+  config.prediction_window = 900;
+  check_directory(sun(), config, 1,
+                  {10000, 7208, 9993, 100381, 23672, 5551, 3188, 2217, 661});
 }
 
 TEST(EvalGolden, ProbabilityThresholdAndEffectiveness) {
