@@ -103,16 +103,10 @@ sim::EvalResult eval_directory(const trace::SyntheticWorkload& workload,
   dvc.level = level;
   dvc.max_candidates = max_candidates;
   server::TraceMetaOracle meta(workload.trace);
-  if (threads != 1) {
-    sim::ParallelEvalConfig par;
-    par.threads = threads;
-    const auto spec = sim::shard_directory_volumes(dvc, workload.trace);
-    return sim::ParallelEvaluator(config, par).run(workload.trace, spec,
-                                                   meta);
-  }
-  volume::DirectoryVolumes volumes(dvc);
-  volumes.bind_paths(workload.trace.paths());
-  return sim::PredictionEvaluator(config).run(workload.trace, volumes, meta);
+  sim::ParallelEvalConfig par;
+  par.threads = threads;
+  const auto spec = sim::shard_directory_volumes(dvc, workload.trace);
+  return sim::ParallelEvaluator(config, par).run(workload.trace, spec, meta);
 }
 
 volume::PairCounts pair_counts(const trace::SyntheticWorkload& workload,
@@ -136,18 +130,10 @@ ProbabilityRun eval_probability_with_counts(
   const auto set =
       volume::build_probability_volumes(workload.trace, counts, pvc);
   server::TraceMetaOracle meta(workload.trace);
-  if (threads != 1) {
-    sim::ParallelEvalConfig par;
-    par.threads = threads;
-    const auto spec =
-        sim::shard_probability_volumes(&set, pvc.max_candidates);
-    return {sim::ParallelEvaluator(config, par).run(workload.trace, spec,
-                                                    meta),
-            set.stats()};
-  }
-  volume::ProbabilityVolumes provider(&set, pvc.max_candidates);
-  return {sim::PredictionEvaluator(config).run(workload.trace, provider,
-                                               meta),
+  sim::ParallelEvalConfig par;
+  par.threads = threads;
+  const auto spec = sim::shard_probability_volumes(&set, pvc.max_candidates);
+  return {sim::ParallelEvaluator(config, par).run(workload.trace, spec, meta),
           set.stats()};
 }
 

@@ -3,8 +3,8 @@
 //
 // A filter travels in the `Piggy-filter` request header (grammar in
 // src/http/piggy_headers.*). Applying a filter to a provider's candidate
-// list is a pure function implemented here so the simulated server, the
-// transparent volume center, and the HTTP demo all share it.
+// cursor is implemented once, here, so the evaluators, the simulated
+// server, the transparent volume center, and the HTTP demo all share it.
 #pragma once
 
 #include <cstdint>
@@ -73,23 +73,32 @@ class MetaOracle {
                               util::InternId resource) const = 0;
 };
 
-// Apply `filter` to a provider's prediction for `request`, producing the
-// piggyback message the server would actually append (possibly empty):
-//   * suppressed entirely if !filter.enabled or the volume is in the RPV,
+// Apply `filter` to the candidates of `volume` for `request`, producing
+// the piggyback message the server would actually append (possibly
+// empty). Clears and refills `out` (its element vector's capacity
+// survives, so a caller looping over millions of requests keeps one
+// message buffer):
+//   * suppressed entirely if !filter.enabled, max_elements is 0, or the
+//     volume is kNoVolume or in the RPV — no candidate is pulled then,
 //   * the requested resource itself is never echoed back,
 //   * probability / size / type / access-count limits applied per element,
-//   * truncated to max_elements (candidates arrive best-first).
+//   * candidates are pulled best-first and only until max_elements are
+//     kept or the cursor runs dry (its candidate budget counts every
+//     candidate pulled, kept or not).
+// This is the one filter body; every overload below wraps it.
+void apply_filter_into(VolumeId volume, CandidateCursor& candidates,
+                       const VolumeRequest& request, const ProxyFilter& filter,
+                       const MetaOracle& meta, PiggybackMessage& out);
+
+// The same filter over an eagerly built prediction: its resources (and
+// probs, when they parallel the resources) are the cursor.
+void apply_filter_into(const VolumePrediction& prediction,
+                       const VolumeRequest& request, const ProxyFilter& filter,
+                       const MetaOracle& meta, PiggybackMessage& out);
+
 PiggybackMessage apply_filter(const VolumePrediction& prediction,
                               const VolumeRequest& request,
                               const ProxyFilter& filter,
                               const MetaOracle& meta);
-
-// Allocation-reusing form: clears and refills `out` (its element vector's
-// capacity survives), so a caller looping over millions of requests keeps
-// one message buffer instead of constructing one per request. apply_filter
-// is a thin wrapper over this.
-void apply_filter_into(const VolumePrediction& prediction,
-                       const VolumeRequest& request, const ProxyFilter& filter,
-                       const MetaOracle& meta, PiggybackMessage& out);
 
 }  // namespace piggyweb::core

@@ -52,11 +52,35 @@ struct VolumeRequest {
   trace::ContentType type = trace::ContentType::kOther;
 };
 
-// A provider's raw candidate list for one request, before the proxy filter
-// trims it. `probs` parallels `resources` for probability-based volumes
-// (empty for directory-based ones); candidates are ordered best-first
-// (recency for directory volumes, descending implication probability for
-// probability volumes).
+// One candidate piggyback element as a provider offers it, before the
+// proxy filter. `has_probability` marks the candidates of schemes that
+// compute p(s|r) (probability volumes); the filter's probability
+// threshold applies to those only. A volume's candidates either all carry
+// a probability or none do.
+struct Candidate {
+  util::InternId resource = util::kInvalidIntern;
+  bool has_probability = false;
+  double probability = 0;
+};
+
+// A resumable best-first pull over one volume's candidates (recency order
+// for directory volumes, descending implication probability for
+// probability volumes). pull() copies the next up-to-out.size()
+// candidates into `out` and returns how many it wrote; 0 means the
+// candidates are exhausted. The scheme's candidate cap (max_candidates)
+// is the cursor's budget: every candidate pulled counts against it,
+// whether the filter keeps it or not.
+class CandidateCursor {
+ public:
+  virtual std::size_t pull(std::span<Candidate> out) = 0;
+
+ protected:
+  ~CandidateCursor() = default;
+};
+
+// A provider's full candidate list for one request, drained eagerly from
+// the cursor. `probs` parallels `resources` when the candidates carry
+// probabilities and is empty otherwise.
 struct VolumePrediction {
   VolumeId volume = kNoVolume;
   std::vector<util::InternId> resources;
@@ -65,31 +89,40 @@ struct VolumePrediction {
   bool empty() const { return resources.empty(); }
 };
 
-// Interface implemented by volume-construction schemes. on_request() both
-// observes the access (directory volumes maintain FIFO/move-to-front state
-// online) and returns the candidate piggyback contents.
-class VolumeProvider {
+// Interface implemented by volume-construction schemes, in two calls:
+//   * observe(request) updates the scheme's state for every request
+//     (directory volumes: move-to-front + trim; probability volumes: the
+//     volume lookup) and returns the requested resource's volume id
+//     (kNoVolume if it has none);
+//   * the provider is then a CandidateCursor over that volume, valid until
+//     the next observe(). Callers pull only as far as the proxy filter
+//     needs (core::apply_filter_into stops at max_elements), and only for
+//     messages that will be sent — a volume's candidates cost nothing
+//     when frequency control or RPV suppresses the message.
+class VolumeProvider : public CandidateCursor {
  public:
   virtual ~VolumeProvider() = default;
 
-  virtual VolumePrediction on_request(const VolumeRequest& request) = 0;
+  virtual VolumeId observe(const VolumeRequest& request) = 0;
 
-  // Batched form of on_request: fills predictions[i] for requests[i],
-  // visiting requests strictly in span order so stateful providers evolve
-  // exactly as a per-request loop would. `predictions` is resized to match
-  // and its existing elements (and their vector capacity) are reused —
-  // callers that keep the output vector across batches amortize the
-  // per-prediction allocations away. The default implementation delegates
-  // to on_request; stateful providers override it to skip the per-call
-  // return-by-value copies.
-  virtual void on_request_batch(std::span<const VolumeRequest> requests,
-                                std::vector<VolumePrediction>& predictions);
+  // observe() followed by a full drain of the cursor.
+  VolumePrediction on_request(const VolumeRequest& request);
+
+  // on_request over a span: fills predictions[i] for requests[i], visiting
+  // requests strictly in span order so stateful providers evolve exactly
+  // as a per-request loop would. `predictions` is resized to match and
+  // its existing elements (and their vector capacity) are reused.
+  void on_request_batch(std::span<const VolumeRequest> requests,
+                        std::vector<VolumePrediction>& predictions);
 
   // Number of volumes currently defined (for stats / wire-id checks).
   virtual std::size_t volume_count() const = 0;
 
   // Human-readable scheme name for reports.
   virtual const char* scheme_name() const = 0;
+
+ private:
+  void drain_into(const VolumeRequest& request, VolumePrediction& out);
 };
 
 }  // namespace piggyweb::core

@@ -120,11 +120,10 @@ http::Response OriginServer::handle(const http::Request& request,
     vr.time = now;
     vr.size = resource.size;
     vr.type = resource.type;
-    auto prediction = volumes_.on_request(vr);
-    prediction.volume = prediction.volume == core::kNoVolume
-                            ? core::kNoVolume
-                            : wire_volume_id(prediction.volume);
-    auto message = core::apply_filter(prediction, vr, *filter, meta_);
+    auto volume = volumes_.observe(vr);
+    if (volume != core::kNoVolume) volume = wire_volume_id(volume);
+    core::PiggybackMessage message;
+    core::apply_filter_into(volume, volumes_, vr, *filter, meta_, message);
     for (auto& element : message.elements) {
       element.last_modified += kWireEpoch;
     }

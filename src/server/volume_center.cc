@@ -49,11 +49,12 @@ core::PiggybackMessage VolumeCenter::observe(
                        ? *provider_override_
                        : static_cast<core::VolumeProvider&>(
                              provider_for(server));
-  const auto prediction = provider.on_request(vr);
+  const auto volume = provider.observe(vr);
   const auto& meta =
       meta_override_ != nullptr ? *meta_override_
                                 : static_cast<const core::MetaOracle&>(meta_);
-  const auto message = core::apply_filter(prediction, vr, filter, meta);
+  core::PiggybackMessage message;
+  core::apply_filter_into(volume, provider, vr, filter, meta, message);
   if (!message.empty()) {
     ++stats_.piggybacks_injected;
     stats_.elements_injected += message.elements.size();

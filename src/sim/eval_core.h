@@ -2,19 +2,23 @@
 //
 // The evaluation of one request factors into two halves with disjoint
 // state:
-//   1. the *provider* half — drive VolumeProvider::on_request and apply
-//      the static proxy filter; state partitions by volume (directory
-//      volumes) or is absent (probability volumes);
+//   1. the *provider* half — VolumeProvider::observe updates the volume
+//      state, and the static proxy filter pulls the volume's candidates;
+//      state partitions by volume (directory volumes) or is absent
+//      (probability volumes);
 //   2. the *metrics* half — prediction/true-prediction/update accounting,
 //      frequency control, and RPV suppression; state partitions by source
 //      (the paper's pseudo-proxies are independent prediction streams,
 //      §3.1).
 // MetricAccumulator is that second half and run_provider_half the first.
 // replay_inline runs both halves over one provider and one accumulator
-// (PredictionEvaluator, and ParallelEvaluator at one thread);
-// ParallelEvaluator at N threads runs half 1 sharded by volume and half 2
-// sharded by source, feeding each source's requests to its accumulator in
-// trace order — which is why every path produces bit-identical
+// (PredictionEvaluator, and ParallelEvaluator at one thread), and there
+// the accumulator decides first: it pulls a volume's candidates through
+// the filter only for messages that frequency control and RPV let
+// through. ParallelEvaluator at N threads runs half 1 sharded by volume
+// (filtering every request) and half 2 sharded by source, feeding each
+// source's requests to its accumulator in trace order. Suppression only
+// ever drops a message whole, so every path produces bit-identical
 // EvalResults.
 #pragma once
 
@@ -39,10 +43,9 @@ namespace piggyweb::sim::detail {
 // Sentinel "long ago" for first-touch comparisons.
 inline constexpr util::Seconds kNever = -(1LL << 60);
 
-// Requests per provider batch in the evaluators' hot loops. Batches keep
-// the VolumeRequest column and prediction slots hot in cache and amortize
-// the virtual dispatch; the per-request evaluation *sequence* is
-// unchanged, so batch size never affects results.
+// Requests per view window in the evaluators' inline loop; the
+// per-request evaluation *sequence* is unchanged, so the window size
+// never affects results.
 inline constexpr std::size_t kEvalBatchRequests = 4096;
 
 // The provider-facing view of a trace request. `type` comes from a
@@ -92,8 +95,22 @@ class MetricAccumulator {
  public:
   explicit MetricAccumulator(const EvalConfig& config) : config_(&config) {}
 
+  // `volume` and `resources` are the statically filtered message (empty
+  // or kNoVolume = nothing to send).
   void observe(const trace::Request& request, core::VolumeId volume,
-               std::span<const util::InternId> resources);
+               std::span<const util::InternId> resources) {
+    observe_pulling(request, volume, [resources] { return resources; });
+  }
+
+  // The same step with the message built on demand: `volume` is the
+  // provider's volume for the request, and `pull()` returns the statically
+  // filtered message's resource ids (valid until the accumulator returns).
+  // It is called at most once, and only when frequency control and RPV
+  // would let a message for `volume` through; an empty pull sends
+  // nothing, as an empty message does.
+  template <typename Pull>
+  void observe_pulling(const trace::Request& request, core::VolumeId volume,
+                       Pull&& pull);
 
   const EvalResult& result() const { return result_; }
 
@@ -150,21 +167,27 @@ inline std::span<const trace::Request> sorted_window(trace::TraceView& view,
   return window;
 }
 
-// Buffers for run_provider_half, reused across windows so the steady
+// Buffers for the provider half, reused across requests so the steady
 // state allocates nothing.
 struct ProviderScratch {
-  std::vector<std::size_t> rows;  // window indices driven this window
-  std::vector<core::VolumeRequest> batch;
-  std::vector<core::VolumePrediction> predictions;
   core::PiggybackMessage message;
   std::vector<util::InternId> resources;
 };
 
-// The provider half for one window: the requests whose index passes
-// `keep(i)` go to `provider` as one batch, in trace order; each one's
-// prediction passes the static filter, and `emit(i, volume, resources)`
-// receives the message's volume and element resource ids (valid until
-// the next emit). Templated so the per-request calls inline.
+// The statically filtered message for the request `provider` last
+// observed as `volume`: pulls its candidates through `filter` and returns
+// the kept element resource ids (valid until the next call on `scratch`).
+std::span<const util::InternId> filtered_resources(
+    core::VolumeId volume, core::VolumeProvider& provider,
+    const core::VolumeRequest& request, const core::ProxyFilter& filter,
+    const core::MetaOracle& meta, ProviderScratch& scratch);
+
+// The provider half for one window, when the metric half runs elsewhere:
+// the requests whose index passes `keep(i)` go to `provider` in trace
+// order; each one's candidates pass the static filter, and
+// `emit(i, volume, resources)` receives the message's volume and element
+// resource ids (valid until the next emit). Templated so the
+// per-request calls inline.
 template <typename Keep, typename Emit>
 void run_provider_half(std::span<const trace::Request> window,
                        const trace::PathTypeTable& types,
@@ -172,24 +195,14 @@ void run_provider_half(std::span<const trace::Request> window,
                        const core::ProxyFilter& filter,
                        const core::MetaOracle& meta, ProviderScratch& scratch,
                        Keep&& keep, Emit&& emit) {
-  scratch.rows.clear();
-  scratch.batch.clear();
   for (std::size_t i = 0; i < window.size(); ++i) {
     if (!keep(i)) continue;
-    scratch.rows.push_back(i);
-    scratch.batch.push_back(
-        make_volume_request(window[i], types.type_of(window[i].path)));
-  }
-  provider.on_request_batch(scratch.batch, scratch.predictions);
-  for (std::size_t k = 0; k < scratch.rows.size(); ++k) {
-    core::apply_filter_into(scratch.predictions[k], scratch.batch[k], filter,
-                            meta, scratch.message);
-    scratch.resources.clear();
-    for (const auto& element : scratch.message.elements) {
-      scratch.resources.push_back(element.resource);
-    }
-    emit(scratch.rows[k], scratch.message.volume,
-         std::span<const util::InternId>(scratch.resources));
+    const auto request =
+        make_volume_request(window[i], types.type_of(window[i].path));
+    const auto volume = provider.observe(request);
+    const auto resources =
+        filtered_resources(volume, provider, request, filter, meta, scratch);
+    emit(i, scratch.message.volume, resources);
   }
 }
 
@@ -201,5 +214,80 @@ void replay_inline(const EvalConfig& config, trace::TraceView& view,
                    core::VolumeProvider& provider,
                    const core::MetaOracle& meta, std::size_t begin,
                    std::size_t end, MetricAccumulator& acc);
+
+template <typename Pull>
+void MetricAccumulator::observe_pulling(const trace::Request& req,
+                                        core::VolumeId volume, Pull&& pull) {
+  const auto T = config_->prediction_window;
+  const auto t = req.time.value;
+  const auto C = config_->cache_horizon;
+
+  ++result_.requests;
+  auto& rs = state_[pair_key(req.source, req.path)];
+
+  // --- metrics, evaluated against state from *earlier* requests --------
+  const bool predicted =
+      rs.last_mention != kNever && t - rs.last_mention <= T;
+  if (predicted) ++result_.predicted_requests;
+  const bool prev_within_horizon =
+      rs.last_access != kNever && t - rs.last_access <= C;
+  const bool prev_within_window =
+      rs.last_access != kNever && t - rs.last_access <= T;
+  if (prev_within_horizon) ++result_.prev_occurrence_within_horizon;
+  if (prev_within_window) ++result_.prev_occurrence_within_window;
+  if (predicted && prev_within_horizon && !prev_within_window) {
+    ++result_.updated_by_piggyback;
+  }
+
+  // --- true-prediction fulfilment ---------------------------------------
+  if (!rs.fulfilled && rs.interval_open != kNever &&
+      t - rs.interval_open <= T) {
+    ++result_.predictions_true;
+    rs.fulfilled = true;
+  }
+
+  rs.last_access = t;
+
+  // --- proxy side: frequency control + RPV suppression -------------------
+  // Both controls only suppress the message as a whole, and a non-empty
+  // filtered message always carries the provider's volume, so deciding
+  // them before the message exists is exactly equivalent to feeding them
+  // into apply_filter().
+  if (!config_->filter.enabled) return;
+  const auto pair = pair_key(req.source, req.server);
+  if (config_->min_piggyback_interval > 0) {
+    const auto it = last_piggy_.find(pair);
+    if (it != last_piggy_.end() &&
+        t - it->second < config_->min_piggyback_interval) {
+      return;
+    }
+  }
+  core::RpvList* rpv_list = nullptr;
+  if (config_->use_rpv) {
+    // Created and expired on every enabled request: the list's contents
+    // are part of the checkpointed state.
+    rpv_list = &rpv_.try_emplace(pair, config_->rpv).first->second;
+    if (rpv_list->contains(volume, req.time)) return;
+  }
+  const std::span<const util::InternId> resources = pull();
+  if (volume == core::kNoVolume || resources.empty()) return;
+
+  ++result_.piggyback_messages;
+  result_.piggyback_elements += resources.size();
+  last_piggy_[pair] = t;
+  if (rpv_list != nullptr) rpv_list->note(volume, req.time);
+
+  for (const auto resource : resources) {
+    auto& es = state_[pair_key(req.source, resource)];
+    es.last_mention = t;
+    if (es.interval_open == kNever || t - es.interval_open > T) {
+      // A new prediction interval opens; multiple mentions within one
+      // interval count once (§3.1).
+      es.interval_open = t;
+      es.fulfilled = false;
+      ++result_.predictions_made;
+    }
+  }
+}
 
 }  // namespace piggyweb::sim::detail

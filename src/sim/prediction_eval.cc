@@ -12,82 +12,6 @@ namespace piggyweb::sim {
 
 namespace detail {
 
-void MetricAccumulator::observe(const trace::Request& req,
-                                core::VolumeId volume,
-                                std::span<const util::InternId> resources) {
-  const auto T = config_->prediction_window;
-  const auto t = req.time.value;
-  const auto C = config_->cache_horizon;
-
-  ++result_.requests;
-  auto& rs = state_[pair_key(req.source, req.path)];
-
-  // --- metrics, evaluated against state from *earlier* requests --------
-  const bool predicted =
-      rs.last_mention != kNever && t - rs.last_mention <= T;
-  if (predicted) ++result_.predicted_requests;
-  const bool prev_within_horizon =
-      rs.last_access != kNever && t - rs.last_access <= C;
-  const bool prev_within_window =
-      rs.last_access != kNever && t - rs.last_access <= T;
-  if (prev_within_horizon) ++result_.prev_occurrence_within_horizon;
-  if (prev_within_window) ++result_.prev_occurrence_within_window;
-  if (predicted && prev_within_horizon && !prev_within_window) {
-    ++result_.updated_by_piggyback;
-  }
-
-  // --- true-prediction fulfilment ---------------------------------------
-  if (!rs.fulfilled && rs.interval_open != kNever &&
-      t - rs.interval_open <= T) {
-    ++result_.predictions_true;
-    rs.fulfilled = true;
-  }
-
-  rs.last_access = t;
-
-  // --- proxy side: frequency control + RPV suppression -------------------
-  // The incoming (volume, resources) already passed the static filter;
-  // both remaining controls only suppress the message as a whole, so this
-  // is exactly equivalent to feeding them into apply_filter().
-  bool enabled = config_->filter.enabled;
-  const auto pair = pair_key(req.source, req.server);
-  if (config_->min_piggyback_interval > 0) {
-    const auto it = last_piggy_.find(pair);
-    if (it != last_piggy_.end() &&
-        t - it->second < config_->min_piggyback_interval) {
-      enabled = false;
-    }
-  }
-  bool suppressed = volume == core::kNoVolume || resources.empty();
-  core::RpvList* rpv_list = nullptr;
-  if (config_->use_rpv && enabled) {
-    rpv_list = &rpv_.try_emplace(pair, config_->rpv).first->second;
-    const auto live = rpv_list->live(req.time);
-    if (!suppressed &&
-        std::find(live.begin(), live.end(), volume) != live.end()) {
-      suppressed = true;
-    }
-  }
-  if (!enabled || suppressed) return;
-
-  ++result_.piggyback_messages;
-  result_.piggyback_elements += resources.size();
-  last_piggy_[pair] = t;
-  if (rpv_list != nullptr) rpv_list->note(volume, req.time);
-
-  for (const auto resource : resources) {
-    auto& es = state_[pair_key(req.source, resource)];
-    es.last_mention = t;
-    if (es.interval_open == kNever || t - es.interval_open > T) {
-      // A new prediction interval opens; multiple mentions within one
-      // interval count once (§3.1).
-      es.interval_open = t;
-      es.fulfilled = false;
-      ++result_.predictions_made;
-    }
-  }
-}
-
 void MetricAccumulator::export_state(EvalStateImage& image) const {
   const EvalResult partials[] = {image.counters, result_};
   image.counters = merge_results(partials);
@@ -159,6 +83,19 @@ void publish_eval_result(const EvalResult& result) {
       .add(result.updated_by_piggyback);
 }
 
+std::span<const util::InternId> filtered_resources(
+    core::VolumeId volume, core::VolumeProvider& provider,
+    const core::VolumeRequest& request, const core::ProxyFilter& filter,
+    const core::MetaOracle& meta, ProviderScratch& scratch) {
+  core::apply_filter_into(volume, provider, request, filter, meta,
+                          scratch.message);
+  scratch.resources.clear();
+  for (const auto& element : scratch.message.elements) {
+    scratch.resources.push_back(element.resource);
+  }
+  return scratch.resources;
+}
+
 void replay_inline(const EvalConfig& config, trace::TraceView& view,
                    core::VolumeProvider& provider,
                    const core::MetaOracle& meta, std::size_t begin,
@@ -166,25 +103,28 @@ void replay_inline(const EvalConfig& config, trace::TraceView& view,
   PW_EXPECT(begin <= end && end <= view.request_count());
   PW_EXPECT(config.cache_horizon > config.prediction_window);
 
-  // Batched hot loop: one view window per batch (a subspan for
-  // materialized traces, a bounded decode straight off the mapped columns
-  // for streaming ones), provider predictions for the span, then filter +
-  // metrics over the same span. Requests are visited strictly in trace
-  // order, so results are bit-identical to the per-request formulation,
-  // and memory stays bounded by the batch size regardless of trace length.
+  // One view window per batch (a subspan for materialized traces, a
+  // bounded decode straight off the mapped columns for streaming ones),
+  // then per request: the provider observes it, the accumulator evaluates
+  // the metrics and the per-source controls, and only a message that
+  // would be sent pulls the volume's candidates through the filter.
+  // Requests are visited strictly in trace order, and memory stays
+  // bounded by the batch size regardless of trace length.
   const trace::PathTypeTable types(view.paths());
   ProviderScratch scratch;
   util::Seconds last_time = kNever;
   for (std::size_t base = begin; base < end; base += kEvalBatchRequests) {
     const auto stop = std::min(base + kEvalBatchRequests, end);
-    const auto window = sorted_window(view, base, stop - base, last_time);
-    run_provider_half(
-        window, types, provider, config.filter, meta, scratch,
-        [](std::size_t) { return true; },
-        [&](std::size_t i, core::VolumeId volume,
-            std::span<const util::InternId> resources) {
-          acc.observe(window[i], volume, resources);
-        });
+    for (const auto& req :
+         sorted_window(view, base, stop - base, last_time)) {
+      const auto request =
+          make_volume_request(req, types.type_of(req.path));
+      const auto volume = provider.observe(request);
+      acc.observe_pulling(req, volume, [&] {
+        return filtered_resources(volume, provider, request, config.filter,
+                                  meta, scratch);
+      });
+    }
     if (config.on_progress) config.on_progress({stop - begin, end - begin, 0});
   }
 }

@@ -11,9 +11,10 @@
 //   * average piggyback size, per message and per request.
 //
 // Sources in a server log are the paper's pseudo-proxies. The evaluator
-// drives the provider for *every* request (volumes are maintained by all
+// has the provider observe *every* request (volumes are maintained by all
 // traffic) but applies frequency control / RPV suppression to decide which
-// responses actually carry piggybacks.
+// responses actually carry piggybacks, and pulls a volume's candidates
+// through the filter only for those.
 #pragma once
 
 #include <cstddef>

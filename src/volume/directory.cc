@@ -36,8 +36,7 @@ util::InternId DirectoryVolumes::prefix_of(util::InternId path) {
   return cached;
 }
 
-void DirectoryVolumes::predict_into(const core::VolumeRequest& request,
-                                    core::VolumePrediction& out) {
+core::VolumeId DirectoryVolumes::observe(const core::VolumeRequest& request) {
   PW_EXPECT(live_paths_ != nullptr || !fixed_paths_.empty());
   const auto prefix = prefix_of(request.path);
   const auto key = volume_key(request.server, prefix);
@@ -52,25 +51,37 @@ void DirectoryVolumes::predict_into(const core::VolumeRequest& request,
   touch(volume, request);
   trim(volume);
 
-  out.volume = config_.id_offset + config_.id_stride * it->second;
-  collect(volume, out.resources);
-  out.probs.clear();
-}
-
-core::VolumePrediction DirectoryVolumes::on_request(
-    const core::VolumeRequest& request) {
-  core::VolumePrediction prediction;
-  predict_into(request, prediction);
-  return prediction;
-}
-
-void DirectoryVolumes::on_request_batch(
-    std::span<const core::VolumeRequest> requests,
-    std::vector<core::VolumePrediction>& predictions) {
-  predictions.resize(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    predict_into(requests[i], predictions[i]);
+  cursor_volume_ = &volume;
+  for (std::size_t p = 0; p < kPartitions; ++p) {
+    cursor_heads_[p] = volume.parts[p].begin();
   }
+  cursor_pulled_ = 0;
+  return config_.id_offset + config_.id_stride * it->second;
+}
+
+std::size_t DirectoryVolumes::pull(std::span<core::Candidate> out) {
+  if (cursor_volume_ == nullptr) return 0;
+  const auto& parts = cursor_volume_->parts;
+  // Merge the six MRU-ordered partition lists into one recency-ordered
+  // stream (most recent first), resuming where the last pull stopped.
+  const auto want =
+      std::min(out.size(), config_.max_candidates - cursor_pulled_);
+  std::size_t n = 0;
+  while (n < want) {
+    std::size_t best = kPartitions;
+    for (std::size_t p = 0; p < kPartitions; ++p) {
+      if (cursor_heads_[p] == parts[p].end()) continue;
+      if (best == kPartitions ||
+          cursor_heads_[p]->last_access > cursor_heads_[best]->last_access) {
+        best = p;
+      }
+    }
+    if (best == kPartitions) break;
+    out[n++] = {cursor_heads_[best]->resource, false, 0.0};
+    ++cursor_heads_[best];
+  }
+  cursor_pulled_ += n;
+  return n;
 }
 
 void DirectoryVolumes::touch(Volume& volume,
@@ -116,33 +127,6 @@ void DirectoryVolumes::trim(Volume& volume) {
     PW_ENSURE(victim_part < kPartitions);
     volume.index.erase(volume.parts[victim_part].back().resource);
     volume.parts[victim_part].pop_back();
-  }
-}
-
-void DirectoryVolumes::collect(const Volume& volume,
-                               std::vector<util::InternId>& out) const {
-  // Merge the six MRU-ordered partition lists into one recency-ordered
-  // candidate list (most recent first), up to max_candidates.
-  std::array<ElementList::const_iterator, kPartitions> cursor;
-  std::array<ElementList::const_iterator, kPartitions> end;
-  for (std::size_t p = 0; p < kPartitions; ++p) {
-    cursor[p] = volume.parts[p].begin();
-    end[p] = volume.parts[p].end();
-  }
-  out.clear();
-  out.reserve(std::min(volume.index.size(), config_.max_candidates));
-  while (out.size() < config_.max_candidates) {
-    std::size_t best = kPartitions;
-    for (std::size_t p = 0; p < kPartitions; ++p) {
-      if (cursor[p] == end[p]) continue;
-      if (best == kPartitions ||
-          cursor[p]->last_access > cursor[best]->last_access) {
-        best = p;
-      }
-    }
-    if (best == kPartitions) break;
-    out.push_back(cursor[best]->resource);
-    ++cursor[best];
   }
 }
 

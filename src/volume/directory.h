@@ -30,7 +30,7 @@ namespace piggyweb::volume {
 struct DirectoryVolumeConfig {
   int level = 1;                          // directory prefix depth
   std::size_t max_volume_elements = 2000; // tail-trim bound per volume
-  std::size_t max_candidates = 200;       // cap on returned candidate list
+  std::size_t max_candidates = 200;       // candidate budget per request
   std::uint64_t large_size_threshold = 8 * 1024;  // size-class boundary
 
   // Volume-id numbering: the i-th volume this instance discovers gets id
@@ -46,18 +46,13 @@ class DirectoryVolumes final : public core::VolumeProvider {
  public:
   explicit DirectoryVolumes(const DirectoryVolumeConfig& config);
 
-  // Observes the access (insert or move-to-front) and returns the volume's
-  // current contents in recency order (most recent first), capped at
-  // max_candidates. The requested resource itself is included; the filter
-  // layer strips it.
-  core::VolumePrediction on_request(
-      const core::VolumeRequest& request) override;
-
-  // Same per-request sequence, but reuses the candidate vectors staged in
-  // `predictions`, so a steady-state batch loop performs no allocation.
-  void on_request_batch(
-      std::span<const core::VolumeRequest> requests,
-      std::vector<core::VolumePrediction>& predictions) override;
+  // Observes the access (insert or move-to-front, then tail-trim) and
+  // returns the request's volume id. The cursor then walks that volume's
+  // contents in recency order (most recent first), merging the partition
+  // lists only as far as the caller pulls, up to max_candidates. The
+  // requested resource itself is included; the filter layer strips it.
+  core::VolumeId observe(const core::VolumeRequest& request) override;
+  std::size_t pull(std::span<core::Candidate> out) override;
 
   std::size_t volume_count() const override { return volumes_.size(); }
   const char* scheme_name() const override { return "directory"; }
@@ -101,11 +96,8 @@ class DirectoryVolumes final : public core::VolumeProvider {
     return (static_cast<std::uint64_t>(server) << 32) | prefix;
   }
 
-  void predict_into(const core::VolumeRequest& request,
-                    core::VolumePrediction& out);
   void touch(Volume& volume, const core::VolumeRequest& request);
   void trim(Volume& volume);
-  void collect(const Volume& volume, std::vector<util::InternId>& out) const;
 
   // Path string for an id from whichever table is bound (see bind_paths).
   std::string_view path_str(util::InternId path) const {
@@ -134,6 +126,12 @@ class DirectoryVolumes final : public core::VolumeProvider {
   // path id -> interned prefix id; kInvalidIntern = not yet computed.
   // Derived state: rebuilt lazily, never serialized.
   std::vector<util::InternId> prefix_ids_;
+
+  // Candidate cursor over the volume last observed: the next unmerged
+  // node of each partition and the number of candidates pulled so far.
+  const Volume* cursor_volume_ = nullptr;
+  std::array<ElementList::const_iterator, kPartitions> cursor_heads_{};
+  std::size_t cursor_pulled_ = 0;
 
  public:
   // The provider needs to turn interned path ids back into strings to

@@ -34,36 +34,59 @@ std::vector<util::InternId> PopularityVolumes::popular() const {
   return top_;
 }
 
-core::VolumePrediction PopularityVolumes::on_request(
+core::VolumeId PopularityVolumes::observe(
     const core::VolumeRequest& request) {
   bump(request.path);
-  auto prediction = primary_->on_request(request);
+  const auto volume = primary_->observe(request);
+  path_ = request.path;
+  peeked_.clear();
+  next_peeked_ = 0;
+  next_top_ = 0;
   // The requested resource never survives the filter, so count it out
   // when judging whether the primary came back thin.
-  std::size_t usable = prediction.resources.size();
-  for (const auto res : prediction.resources) {
-    if (res == request.path) --usable;
+  std::size_t usable = 0;
+  core::Candidate candidate;
+  while (usable < config_.min_primary &&
+         primary_->pull(std::span(&candidate, 1)) == 1) {
+    peeked_.push_back(candidate);
+    if (candidate.resource != request.path) ++usable;
   }
-  if (usable >= config_.min_primary) return prediction;
-  // Top up from the popular volume. If the primary had nothing at all,
-  // the message is attributed to the popular volume so RPV suppression
-  // works; otherwise the primary volume id is kept.
-  if (prediction.volume == core::kNoVolume) {
-    prediction.volume = config_.volume_id;
-  }
-  const bool has_probs =
-      !prediction.resources.empty() &&
-      prediction.probs.size() == prediction.resources.size();
-  for (const auto res : top_) {
-    if (res == request.path) continue;
-    if (std::find(prediction.resources.begin(), prediction.resources.end(),
-                  res) != prediction.resources.end()) {
+  topping_up_ = usable < config_.min_primary;
+  // If the primary had nothing at all, a topped-up message is attributed
+  // to the popular volume so RPV suppression works; otherwise the primary
+  // volume id is kept.
+  if (topping_up_ && volume == core::kNoVolume) return config_.volume_id;
+  return volume;
+}
+
+bool PopularityVolumes::next_top_up(core::Candidate& out) {
+  // Top-ups carry probability 0 when the primary's candidates carry
+  // probabilities, so a probability threshold filters them out.
+  const bool has_probability =
+      !peeked_.empty() && peeked_.front().has_probability;
+  while (next_top_ < top_.size()) {
+    const auto res = top_[next_top_++];
+    if (res == path_) continue;
+    if (std::any_of(peeked_.begin(), peeked_.end(),
+                    [res](const core::Candidate& c) {
+                      return c.resource == res;
+                    })) {
       continue;
     }
-    prediction.resources.push_back(res);
-    if (has_probs) prediction.probs.push_back(0.0);
+    out = {res, has_probability, 0.0};
+    return true;
   }
-  return prediction;
+  return false;
+}
+
+std::size_t PopularityVolumes::pull(std::span<core::Candidate> out) {
+  std::size_t n = 0;
+  while (n < out.size() && next_peeked_ < peeked_.size()) {
+    out[n++] = peeked_[next_peeked_++];
+  }
+  if (!topping_up_) return n + primary_->pull(out.subspan(n));
+  while (n < out.size() && next_top_up(out[n])) ++n;
+  return n;
 }
 
 }  // namespace piggyweb::volume

@@ -31,12 +31,14 @@ class PopularityVolumes final : public core::VolumeProvider {
                     core::VolumeProvider& primary)
       : config_(config), primary_(&primary) {}
 
-  // Maintains popularity counts online and delegates to the primary
-  // provider; tops the candidate list up from the popular set when the
-  // primary comes back thin. Top-up candidates never displace primary
-  // ones (they are appended, so maxpiggy truncation favours the primary).
-  core::VolumePrediction on_request(
-      const core::VolumeRequest& request) override;
+  // Maintains popularity counts online and observes through the primary
+  // provider. Peeks at most min_primary + 1 of the primary's candidates to
+  // judge whether it came back thin; if so the cursor tops the primary's
+  // candidates up from the popular set. Top-up candidates never displace
+  // primary ones (they follow them, so maxpiggy truncation favours the
+  // primary).
+  core::VolumeId observe(const core::VolumeRequest& request) override;
+  std::size_t pull(std::span<core::Candidate> out) override;
 
   std::size_t volume_count() const override {
     return primary_->volume_count() + 1;
@@ -48,9 +50,18 @@ class PopularityVolumes final : public core::VolumeProvider {
 
  private:
   void bump(util::InternId resource);
+  bool next_top_up(core::Candidate& out);
 
   PopularityVolumeConfig config_;
   core::VolumeProvider* primary_;
+  // Cursor over the request last observed: the peeked primary candidates
+  // (replayed first), then either the rest of the primary's cursor or,
+  // when the primary was thin, the popular set.
+  util::InternId path_ = util::kInvalidIntern;
+  std::vector<core::Candidate> peeked_;
+  std::size_t next_peeked_ = 0;
+  bool topping_up_ = false;
+  std::size_t next_top_ = 0;
   // Exact counts plus a maintained top-N (linear scan over N on update;
   // N is small by construction).
   std::vector<std::uint64_t> counts_;

@@ -169,37 +169,23 @@ ProbabilityVolumeSet build_probability_volumes(
   return set;
 }
 
-void ProbabilityVolumes::predict_into(const core::VolumeRequest& request,
-                                      core::VolumePrediction& out) const {
-  out.volume = core::kNoVolume;
-  out.resources.clear();
-  out.probs.clear();
-  const auto* entries = set_->volume_of(request.path);
-  if (entries == nullptr) return;
-  out.volume = set_->volume_id(request.path);
-  const auto n = std::min(entries->size(), max_candidates_);
-  out.resources.reserve(n);
-  out.probs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.resources.push_back((*entries)[i].resource);
-    out.probs.push_back((*entries)[i].probability);
-  }
-}
-
-core::VolumePrediction ProbabilityVolumes::on_request(
+core::VolumeId ProbabilityVolumes::observe(
     const core::VolumeRequest& request) {
-  core::VolumePrediction prediction;
-  predict_into(request, prediction);
-  return prediction;
+  entries_ = set_->volume_of(request.path);
+  next_ = 0;
+  return entries_ == nullptr ? core::kNoVolume
+                             : set_->volume_id(request.path);
 }
 
-void ProbabilityVolumes::on_request_batch(
-    std::span<const core::VolumeRequest> requests,
-    std::vector<core::VolumePrediction>& predictions) {
-  predictions.resize(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    predict_into(requests[i], predictions[i]);
+std::size_t ProbabilityVolumes::pull(std::span<core::Candidate> out) {
+  if (entries_ == nullptr) return 0;
+  const auto stop = std::min(entries_->size(), max_candidates_);
+  const auto n = std::min(out.size(), stop - next_);
+  for (std::size_t i = 0; i < n; ++i, ++next_) {
+    const auto& entry = (*entries_)[next_];
+    out[i] = {entry.resource, true, entry.probability};
   }
+  return n;
 }
 
 }  // namespace piggyweb::volume

@@ -96,30 +96,28 @@ ProbabilityVolumeSet build_probability_volumes(
     const ProbabilityVolumeConfig& config);
 
 // Provider adapter: candidates are the precomputed volume entries, best
-// (highest-probability) first. Stateless per request.
+// (highest-probability) first. observe() is the volume lookup; the set is
+// immutable, so the provider carries no per-request state beyond the
+// cursor.
 class ProbabilityVolumes final : public core::VolumeProvider {
  public:
   ProbabilityVolumes(const ProbabilityVolumeSet* set,
                      std::size_t max_candidates)
       : set_(set), max_candidates_(max_candidates) {}
 
-  core::VolumePrediction on_request(
-      const core::VolumeRequest& request) override;
-
-  // Reuses the candidate/probability vectors staged in `predictions`.
-  void on_request_batch(
-      std::span<const core::VolumeRequest> requests,
-      std::vector<core::VolumePrediction>& predictions) override;
+  core::VolumeId observe(const core::VolumeRequest& request) override;
+  std::size_t pull(std::span<core::Candidate> out) override;
 
   std::size_t volume_count() const override { return set_->volume_count(); }
   const char* scheme_name() const override { return "probability"; }
 
  private:
-  void predict_into(const core::VolumeRequest& request,
-                    core::VolumePrediction& out) const;
-
   const ProbabilityVolumeSet* set_;
   std::size_t max_candidates_;
+  // Cursor: the observed volume's entries (null = no volume) and the
+  // index of the next one, capped at max_candidates_.
+  const std::vector<VolumeEntry>* entries_ = nullptr;
+  std::size_t next_ = 0;
 };
 
 }  // namespace piggyweb::volume

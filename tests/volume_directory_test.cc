@@ -172,6 +172,51 @@ TEST_F(DirectoryVolumesTest, RootFilesShareRootVolume) {
   EXPECT_EQ(p1.volume, p2.volume);
 }
 
+// Drains the cursor of the volume `volumes` last observed, `chunk`
+// candidates per pull.
+std::vector<util::InternId> drain(DirectoryVolumes& volumes,
+                                  std::size_t chunk) {
+  std::vector<util::InternId> out;
+  std::vector<core::Candidate> buffer(chunk);
+  for (auto n = volumes.pull(buffer); n > 0; n = volumes.pull(buffer)) {
+    EXPECT_LE(n, chunk);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_FALSE(buffer[i].has_probability);
+      out.push_back(buffer[i].resource);
+    }
+  }
+  EXPECT_EQ(volumes.pull(buffer), 0u);  // stays exhausted
+  return out;
+}
+
+// The cursor resumes exactly where the last pull stopped: pulled one at a
+// time, three at a time, or all at once, it yields on_request's list —
+// across all six partitions, a partition migration, and a candidate
+// budget smaller than the volume.
+TEST_F(DirectoryVolumesTest, CursorChunksMatchOnRequest) {
+  std::vector<DirectoryVolumes> providers;
+  for (int i = 0; i < 4; ++i) {
+    providers.push_back(make(1, /*max_elements=*/40, /*max_candidates=*/25));
+  }
+  const trace::ContentType types[] = {trace::ContentType::kHtml,
+                                      trace::ContentType::kImage,
+                                      trace::ContentType::kOther};
+  for (int i = 0; i < 60; ++i) {
+    const auto r = request("/a/r" + std::to_string(i % 33) + ".x", i,
+                           (i * 7919) % 3 == 0 ? 100000 : 100, types[i % 3]);
+    for (auto& provider : providers) provider.observe(r);
+  }
+  const auto last = request("/a/r5.x", 100);
+  const auto expected = providers[0].on_request(last).resources;
+  ASSERT_EQ(expected.size(), 25u);
+  for (std::size_t k = 1; k < providers.size(); ++k) {
+    const std::size_t chunk = k == 1 ? 1 : k == 2 ? 3 : 1000;
+    EXPECT_EQ(providers[k].observe(last),
+              providers[0].peek_volume(0, "/a/r5.x"));
+    EXPECT_EQ(drain(providers[k], chunk), expected) << "chunk " << chunk;
+  }
+}
+
 // Level sweep: deeper prefixes never merge paths that shallower ones split.
 class DirectoryLevelTest : public DirectoryVolumesTest,
                            public ::testing::WithParamInterface<int> {};

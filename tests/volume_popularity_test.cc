@@ -9,11 +9,25 @@ namespace {
 class ScriptedProvider final : public core::VolumeProvider {
  public:
   core::VolumePrediction next;
-  core::VolumePrediction on_request(const core::VolumeRequest&) override {
-    return next;
+  core::VolumeId observe(const core::VolumeRequest&) override {
+    pulled_ = 0;
+    return next.volume;
+  }
+  std::size_t pull(std::span<core::Candidate> out) override {
+    const bool has_probs = next.probs.size() == next.resources.size();
+    std::size_t n = 0;
+    for (; n < out.size() && pulled_ < next.resources.size(); ++n) {
+      out[n] = {next.resources[pulled_], has_probs,
+                has_probs ? next.probs[pulled_] : 0.0};
+      ++pulled_;
+    }
+    return n;
   }
   std::size_t volume_count() const override { return 1; }
   const char* scheme_name() const override { return "scripted"; }
+
+ private:
+  std::size_t pulled_ = 0;
 };
 
 core::VolumeRequest request_for(util::InternId path) {
