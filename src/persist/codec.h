@@ -6,7 +6,8 @@
 // A container file:
 //
 //   magic    8 bytes  e.g. "PIGGYSNP"
-//   version  u32      1
+//   version  u32      kSnapshotVersion for PIGGYSNP (2: eval_meta gained
+//                     the probability volume-set hash), 1 for PIGGYTRC
 //   count    u32      number of sections
 //   section* count times:
 //     name     u16 length + bytes (unique within the file)
@@ -30,7 +31,7 @@
 
 namespace piggyweb::persist {
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 inline constexpr std::string_view kSnapshotMagic = "PIGGYSNP";
 
 // Little-endian primitive encoder appending to an owned byte buffer.

@@ -38,7 +38,8 @@ std::uint64_t trace_fingerprint(const trace::Trace& trace) {
 
 EvalConfigEcho make_eval_config_echo(
     std::string_view scheme, const sim::EvalConfig& eval,
-    const volume::DirectoryVolumeConfig* directory) {
+    const volume::DirectoryVolumeConfig* directory,
+    const volume::ProbabilityVolumeSet* probability) {
   EvalConfigEcho echo;
   echo.scheme = std::string(scheme);
   echo.prediction_window = eval.prediction_window;
@@ -54,6 +55,11 @@ EvalConfigEcho make_eval_config_echo(
     echo.max_volume_elements = directory->max_volume_elements;
     echo.max_candidates = directory->max_candidates;
     echo.large_size_threshold = directory->large_size_threshold;
+  }
+  if (probability != nullptr) {
+    ByteWriter set_bytes;
+    serialize_probability_volume_set(*probability, set_bytes);
+    echo.volume_set_hash = util::fnv1a(set_bytes.bytes());
   }
   return echo;
 }
@@ -138,6 +144,7 @@ std::string serialize_eval_snapshot(const EvalSnapshot& snapshot) {
     meta.u64(snapshot.config.max_volume_elements);
     meta.u64(snapshot.config.max_candidates);
     meta.u64(snapshot.config.large_size_threshold);
+    meta.u64(snapshot.config.volume_set_hash);
     meta.u64(snapshot.next_request);
     meta.u64(snapshot.total_requests);
     meta.u64(snapshot.fingerprint);
@@ -216,6 +223,7 @@ std::optional<EvalSnapshot> parse_eval_snapshot(std::string_view file,
     snapshot.config.max_volume_elements = in.u64();
     snapshot.config.max_candidates = in.u64();
     snapshot.config.large_size_threshold = in.u64();
+    snapshot.config.volume_set_hash = in.u64();
     snapshot.next_request = in.u64();
     snapshot.total_requests = in.u64();
     snapshot.fingerprint = in.u64();

@@ -49,7 +49,8 @@ std::uint64_t trace_fingerprint(const trace::Trace& trace);
 
 // Behaviour-shaping knobs echoed into the snapshot; a resume whose flags
 // disagree is rejected instead of silently diverging. Directory fields are
-// zero for the probability scheme.
+// zero for the probability scheme, and the volume-set hash is zero for
+// the directory scheme.
 struct EvalConfigEcho {
   std::string scheme;  // provider scheme_name(): "directory"/"probability"
   util::Seconds prediction_window = 0;
@@ -64,13 +65,20 @@ struct EvalConfigEcho {
   std::uint64_t max_volume_elements = 0;
   std::uint64_t max_candidates = 0;
   std::uint64_t large_size_threshold = 0;
+  // util::fnv1a of serialize_probability_volume_set over the evaluated
+  // set. It pins whatever shaped the set — the training flags (p_t, eff,
+  // combine level, min count) or a loaded volume file — in one value.
+  std::uint64_t volume_set_hash = 0;
 
   bool operator==(const EvalConfigEcho&) const = default;
 };
 
+// `directory` is the directory scheme's volume config, `probability` the
+// probability scheme's volume set; pass null for the other scheme.
 EvalConfigEcho make_eval_config_echo(
     std::string_view scheme, const sim::EvalConfig& eval,
-    const volume::DirectoryVolumeConfig* directory);
+    const volume::DirectoryVolumeConfig* directory,
+    const volume::ProbabilityVolumeSet* probability = nullptr);
 
 // A captured mid-run evaluation state, canonical across thread counts:
 // saving the same run at --threads=1 and --threads=4 produces identical

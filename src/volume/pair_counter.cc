@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/tracer.h"
 #include "util/expect.h"
 #include "util/strings.h"
 
@@ -79,6 +80,7 @@ PairCounts PairCounterBuilder::build(const trace::Trace& trace,
 PairCounts PairCounterBuilder::build(const PairObservations& observations,
                                      util::StringTableView paths,
                                      std::uint64_t min_resource_count) {
+  OBS_SPAN("pair_counter.build");
   // Popularity feeds the min-count cut and the sampler's freq(r) term.
   // Padding the vector to the path-table size keeps c_r_ the same shape
   // the whole-trace pass produced (ids interned but never requested).

@@ -206,8 +206,9 @@ TEST(CheckpointResume, ProbabilitySchemeRoundTrip) {
         std::vector<const sim::detail::MetricAccumulator*> accs(
             accumulators.begin(), accumulators.end());
         snapshot = capture_eval_state(
-            {}, accs, make_eval_config_echo("probability", config, nullptr),
-            mid, trace.size(), trace_fingerprint(trace));
+            {}, accs,
+            make_eval_config_echo("probability", config, nullptr, &set), mid,
+            trace.size(), trace_fingerprint(trace));
       };
   run_range(config, spec, 0, mid, 1, capture);
   ASSERT_TRUE(snapshot.has_value());
@@ -216,6 +217,7 @@ TEST(CheckpointResume, ProbabilitySchemeRoundTrip) {
   const auto parsed = parse_eval_snapshot(bytes, error);
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_TRUE(parsed->volumes.empty());
+  EXPECT_NE(parsed->config.volume_set_hash, 0u);
   EXPECT_EQ(serialize_eval_snapshot(*parsed), bytes);
 
   // Resume sharded against the same set.
@@ -223,6 +225,23 @@ TEST(CheckpointResume, ProbabilitySchemeRoundTrip) {
   auto hooks = restore.hooks();
   expect_identical(baseline, run_range(config, spec, restore.next_request(),
                                        trace.size(), 2, hooks));
+}
+
+TEST(CheckpointResume, ProbabilityEchoPinsTheVolumeSet) {
+  // The probability scheme's volumes come from training flags the eval
+  // config never sees; the echo's set hash is what tells two trainings
+  // apart, so a resume under a different p_t is refused.
+  const sim::EvalConfig config;
+  const auto echo_for = [&](double probability) {
+    volume::ProbabilityVolumeSet set;
+    set.add_volume(0, {{1, probability, 0.5}});
+    return make_eval_config_echo("probability", config, nullptr, &set);
+  };
+  EXPECT_EQ(echo_for(0.8), echo_for(0.8));
+  EXPECT_FALSE(echo_for(0.8) == echo_for(0.4));
+  EXPECT_EQ(make_eval_config_echo("directory", config, nullptr)
+                .volume_set_hash,
+            0u);
 }
 
 TEST(InlineEval, OneThreadRunBuildsNoPool) {

@@ -149,16 +149,19 @@ TEST(SnapshotContainer, WrongMagicAndVersionAreRejected) {
   std::string error;
   EXPECT_FALSE(SnapshotReader::parse(bad_magic, error).has_value());
 
-  // Bump the version field and re-fix the footer so only the version is
-  // wrong — the reader must reject on version, not checksum.
-  auto bad_version = two_section_file();
-  bad_version[8] = 2;
-  bad_version.resize(bad_version.size() - 8);
-  ByteWriter footer;
-  footer.u64(snapshot_checksum(bad_version));
-  bad_version += footer.bytes();
-  EXPECT_FALSE(SnapshotReader::parse(bad_version, error).has_value());
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  // Set the version field to an older and a newer version and re-fix the
+  // footer so only the version is wrong — the reader must reject on
+  // version, not checksum.
+  for (const auto version : {kSnapshotVersion - 1, kSnapshotVersion + 1}) {
+    auto bad_version = two_section_file();
+    bad_version[8] = static_cast<char>(version);
+    bad_version.resize(bad_version.size() - 8);
+    ByteWriter footer;
+    footer.u64(snapshot_checksum(bad_version));
+    bad_version += footer.bytes();
+    EXPECT_FALSE(SnapshotReader::parse(bad_version, error).has_value());
+    EXPECT_NE(error.find("version"), std::string::npos) << error;
+  }
 }
 
 TEST(SnapshotContainer, DuplicateSectionIsRejected) {

@@ -14,6 +14,7 @@
 
 #include "persist/state_access.h"
 #include "proxy/cache.h"
+#include "trace/record.h"
 #include "util/rng.h"
 #include "volume/directory.h"
 #include "volume/pair_counter.h"
@@ -192,50 +193,27 @@ TEST(RpvCodec, TruncatedEntriesAreRejected) {
   EXPECT_FALSE(error.empty());
 }
 
-// Sharded pair counters -----------------------------------------------------
-
-TEST(PairCounterCodec, RoundTripAcrossStripeCounts) {
-  volume::ShardedPairCounterTable table(8);
-  util::Rng rng(0xc0117);
-  for (int i = 0; i < 2000; ++i) {
-    const auto r = static_cast<util::InternId>(rng.below(40));
-    const auto s = static_cast<util::InternId>(rng.below(40));
-    table.add_pair(r, s);
-    table.add_occurrence(r);
-  }
-
-  ByteWriter out;
-  serialize_sharded_pair_counts(table, out);
-  const auto bytes = out.take();
-
-  // The stripe count is a concurrency detail; restore into a table with a
-  // different one and expect identical logical contents.
-  volume::ShardedPairCounterTable back(3);
-  ByteReader in(bytes);
-  std::string error;
-  ASSERT_TRUE(deserialize_sharded_pair_counts(in, back, error)) << error;
-  EXPECT_TRUE(in.ok() && in.at_end());
-
-  auto expect_entries = table.pair_entries();
-  auto got_entries = back.pair_entries();
-  std::sort(expect_entries.begin(), expect_entries.end());
-  std::sort(got_entries.begin(), got_entries.end());
-  EXPECT_EQ(got_entries, expect_entries);
-  EXPECT_EQ(back.occurrence_vector(), table.occurrence_vector());
-
-  ByteWriter again;
-  serialize_sharded_pair_counts(back, again);
-  EXPECT_EQ(again.bytes(), bytes);
-}
+// Pair counters -------------------------------------------------------------
 
 TEST(PairCounterCodec, PairCountsRoundTrip) {
-  volume::ShardedPairCounterTable table(4);
-  table.add_pair(1, 2, 5);
-  table.add_pair(1, 3, 2);
-  table.add_pair(2, 3, 9);
-  table.add_occurrence(1, 10);
-  table.add_occurrence(2, 12);
-  const volume::PairCounts counts = table.to_pair_counts();
+  // A random single-server trace with few sources and many repeats, so
+  // most counters are created after their r was already seen
+  // (cr_at_creation > 0) — a field the codec must carry.
+  trace::Trace trace;
+  util::Rng rng(0xc0117);
+  util::Seconds now = 0;
+  for (int i = 0; i < 2000; ++i) {
+    now += static_cast<util::Seconds>(rng.below(30));
+    std::string source = "c";
+    source += std::to_string(rng.below(6));
+    std::string path = "/p";
+    path += std::to_string(rng.below(40));
+    trace.add({now}, source, "server", path);
+  }
+  volume::PairCounterConfig pcc;
+  pcc.window = 60;
+  const auto counts = volume::PairCounterBuilder(pcc).build(trace);
+  ASSERT_GT(counts.counter_count(), 0u);
 
   ByteWriter out;
   StateAccess::serialize_pair_counts(counts, out);
@@ -246,10 +224,16 @@ TEST(PairCounterCodec, PairCountsRoundTrip) {
   std::string error;
   ASSERT_TRUE(StateAccess::deserialize_pair_counts(in, back, error)) << error;
   EXPECT_EQ(back.counter_count(), counts.counter_count());
-  EXPECT_EQ(back.pair_count(1, 2), 5u);
-  EXPECT_EQ(back.pair_count(2, 3), 9u);
-  EXPECT_EQ(back.occurrences(2), 12u);
-  EXPECT_DOUBLE_EQ(back.probability(1, 2), counts.probability(1, 2));
+  EXPECT_EQ(back.resource_occurrences(), counts.resource_occurrences());
+  bool created_late = false;
+  for (const auto& [key, pc] : counts.pairs()) {
+    const auto it = back.pairs().find(key);
+    ASSERT_NE(it, back.pairs().end()) << key;
+    EXPECT_EQ(it->second.count, pc.count) << key;
+    EXPECT_EQ(it->second.cr_at_creation, pc.cr_at_creation) << key;
+    created_late = created_late || pc.cr_at_creation > 0;
+  }
+  EXPECT_TRUE(created_late);
 
   ByteWriter again;
   StateAccess::serialize_pair_counts(back, again);

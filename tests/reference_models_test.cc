@@ -7,19 +7,18 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <set>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "proxy/cache.h"
+#include "trace/record.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "volume/directory.h"
 #include "volume/pair_counter.h"
-#include "volume/sharded_pair_counter.h"
 
 namespace piggyweb {
 namespace {
@@ -183,98 +182,67 @@ TEST_P(DirectoryDifferential, MatchesReferenceOverRandomRequests) {
 INSTANTIATE_TEST_SUITE_P(Levels, DirectoryDifferential,
                          ::testing::Values(0, 1, 2));
 
-// --- Sharded pair-counter table vs serial reference -------------------------
+// --- Pair counter reference (§3.3.1) ----------------------------------------
 
-// A randomized operation list is split round-robin across real threads
-// that update the sharded table concurrently; a single-threaded replay of
-// the same list into plain maps is the reference. Counter sums commute,
-// so the merged table must match exactly for every interleaving.
-class ShardedPairCounterDifferential
-    : public ::testing::TestWithParam<std::uint64_t> {};
+// Straight from the definitions: c(r) counts the requests for r, and
+// c(s|r) counts the requests for r that are followed by at least one
+// request for s from the same source within T. Resources requested fewer
+// than `min_count` times take no part; with a prefix level set, only
+// pairs sharing that directory prefix are counted. A counter's
+// cr_at_creation is c(r) just before the pair's first co-occurrence,
+// sources taken in ascending id order. Every request rescans the whole
+// trace for its successors: no slices, no two-pointer window, no hashing.
+struct ReferencePair {
+  std::uint64_t count = 0;
+  std::uint64_t cr_at_creation = 0;
+};
 
-TEST_P(ShardedPairCounterDifferential, InterleavedUpdatesMatchSerial) {
-  constexpr std::size_t kThreads = 4;
-  constexpr std::uint32_t kIdSpace = 37;
+struct ReferencePairCounts {
+  std::map<util::InternId, std::uint64_t> c_r;
+  std::map<std::pair<util::InternId, util::InternId>, ReferencePair> pairs;
+};
 
-  struct Op {
-    util::InternId r;
-    util::InternId s;
-    bool pair;  // add_pair(r, s) if set, else add_occurrence(r)
-  };
-  util::Rng rng(GetParam());
-  std::vector<Op> ops(12'000);
-  for (auto& op : ops) {
-    op.r = static_cast<util::InternId>(rng.below(kIdSpace));
-    op.s = static_cast<util::InternId>(rng.below(kIdSpace));
-    op.pair = rng.below(3) != 0;
+ReferencePairCounts reference_pair_counts(const trace::Trace& trace,
+                                          util::Seconds window,
+                                          std::uint64_t min_count,
+                                          int prefix_level) {
+  const auto& requests = trace.requests();
+  std::map<util::InternId, std::uint64_t> popularity;
+  util::InternId max_source = 0;
+  for (const auto& request : requests) {
+    ++popularity[request.path];
+    max_source = std::max(max_source, request.source);
   }
+  const auto popular = [&](util::InternId path) {
+    return popularity[path] >= min_count;
+  };
+  const auto prefix = [&](util::InternId path) {
+    return std::string(
+        util::directory_prefix(trace.paths().str(path), prefix_level));
+  };
 
-  volume::ShardedPairCounterTable table(8);
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([t, &ops, &table] {
-      for (std::size_t i = t; i < ops.size(); i += kThreads) {
-        if (ops[i].pair) {
-          table.add_pair(ops[i].r, ops[i].s);
-        } else {
-          table.add_occurrence(ops[i].r);
+  ReferencePairCounts out;
+  for (util::InternId source = 0; source <= max_source; ++source) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const auto& ri = requests[i];
+      if (ri.source != source || !popular(ri.path)) continue;
+      const auto cr_before = out.c_r[ri.path]++;
+      std::set<util::InternId> successors;
+      for (std::size_t j = i + 1; j < requests.size(); ++j) {
+        const auto& rj = requests[j];
+        if (rj.source == source && rj.time - ri.time <= window &&
+            popular(rj.path)) {
+          successors.insert(rj.path);
         }
       }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-
-  std::unordered_map<std::uint64_t, std::uint64_t> pairs;
-  std::unordered_map<util::InternId, std::uint64_t> occurrences;
-  for (const auto& op : ops) {
-    if (op.pair) {
-      ++pairs[volume::PairCounts::key(op.r, op.s)];
-    } else {
-      ++occurrences[op.r];
+      for (const auto s : successors) {
+        if (prefix_level > 0 && prefix(ri.path) != prefix(s)) continue;
+        ++out.pairs.try_emplace({ri.path, s}, ReferencePair{0, cr_before})
+              .first->second.count;
+      }
     }
   }
-
-  EXPECT_EQ(table.counter_count(), pairs.size());
-  for (std::uint32_t r = 0; r < kIdSpace; ++r) {
-    const auto occ = occurrences.find(r);
-    ASSERT_EQ(table.occurrences(r),
-              occ == occurrences.end() ? 0 : occ->second)
-        << "r=" << r;
-    for (std::uint32_t s = 0; s < kIdSpace; ++s) {
-      const auto it = pairs.find(volume::PairCounts::key(r, s));
-      ASSERT_EQ(table.pair_count(r, s), it == pairs.end() ? 0 : it->second)
-          << "r=" << r << " s=" << s;
-    }
-  }
-
-  // The deterministic merge reproduces the same counts.
-  const auto merged = table.to_pair_counts();
-  EXPECT_EQ(merged.counter_count(), pairs.size());
-  for (const auto& [key, count] : pairs) {
-    const auto it = merged.pairs().find(key);
-    ASSERT_NE(it, merged.pairs().end()) << key;
-    EXPECT_EQ(it->second.count, count) << key;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardedPairCounterDifferential,
-                         ::testing::Values(11, 29, 4242, 19980901));
-
-// --- Parallel pair-counter builder vs serial builder ------------------------
-
-void expect_same_counts(const volume::PairCounts& serial,
-                        const volume::PairCounts& parallel) {
-  EXPECT_EQ(serial.counter_count(), parallel.counter_count());
-  EXPECT_EQ(serial.resource_occurrences(),
-            parallel.resource_occurrences());
-  for (const auto& [key, pc] : serial.pairs()) {
-    const auto it = parallel.pairs().find(key);
-    ASSERT_NE(it, parallel.pairs().end()) << "key " << key;
-    EXPECT_EQ(pc.count, it->second.count) << "key " << key;
-    EXPECT_EQ(pc.cr_at_creation, it->second.cr_at_creation)
-        << "key " << key;
-  }
+  return out;
 }
 
 trace::Trace random_single_server_trace(std::uint64_t seed,
@@ -296,39 +264,45 @@ trace::Trace random_single_server_trace(std::uint64_t seed,
   return trace;  // built time-sorted
 }
 
-class ParallelPairCounterDifferential
+class PairCounterDifferential
     : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ParallelPairCounterDifferential, MatchesSerialBuilderExactly) {
+TEST_P(PairCounterDifferential, MatchesFromDefinitionsReference) {
   const auto trace = random_single_server_trace(GetParam(), 6'000);
   for (const int prefix_level : {0, 1}) {
     volume::PairCounterConfig config;
     config.window = 120;
     config.restrict_prefix_level = prefix_level;
     for (const std::uint64_t min_count : {1u, 5u}) {
-      const auto serial =
+      SCOPED_TRACE("prefix level " + std::to_string(prefix_level) +
+                   ", min count " + std::to_string(min_count));
+      const auto counts =
           volume::PairCounterBuilder(config).build(trace, min_count);
-      for (const std::size_t threads : {2u, 4u, 8u}) {
-        const auto parallel =
-            volume::ParallelPairCounterBuilder(config, threads)
-                .build(trace, min_count);
-        expect_same_counts(serial, parallel);
+      const auto expected = reference_pair_counts(
+          trace, config.window, min_count, prefix_level);
+
+      for (util::InternId r = 0; r < trace.paths().size(); ++r) {
+        const auto it = expected.c_r.find(r);
+        ASSERT_EQ(counts.occurrences(r),
+                  it == expected.c_r.end() ? 0 : it->second)
+            << "r " << r;
+      }
+      ASSERT_EQ(counts.counter_count(), expected.pairs.size());
+      for (const auto& [rs, pair] : expected.pairs) {
+        const auto it =
+            counts.pairs().find(volume::PairCounts::key(rs.first, rs.second));
+        ASSERT_NE(it, counts.pairs().end())
+            << "r " << rs.first << " s " << rs.second;
+        EXPECT_EQ(it->second.count, pair.count)
+            << "r " << rs.first << " s " << rs.second;
+        EXPECT_EQ(it->second.cr_at_creation, pair.cr_at_creation)
+            << "r " << rs.first << " s " << rs.second;
       }
     }
   }
 }
 
-TEST_P(ParallelPairCounterDifferential, SampledConfigFallsBackToSerial) {
-  const auto trace = random_single_server_trace(GetParam() ^ 0xABCD, 3'000);
-  volume::PairCounterConfig config;
-  config.sample_counters = true;
-  const auto serial = volume::PairCounterBuilder(config).build(trace, 1);
-  const auto parallel =
-      volume::ParallelPairCounterBuilder(config, 4).build(trace, 1);
-  expect_same_counts(serial, parallel);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelPairCounterDifferential,
+INSTANTIATE_TEST_SUITE_P(Seeds, PairCounterDifferential,
                          ::testing::Values(7, 1234, 987654321));
 
 }  // namespace

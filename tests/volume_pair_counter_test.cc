@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "trace/record.h"
 #include "util/rng.h"
-#include "volume/sharded_pair_counter.h"
 
 namespace piggyweb::volume {
 namespace {
@@ -295,46 +292,6 @@ TEST(PairObservations, SampledObservationBuildMatchesTraceBuild) {
   const auto from_obs =
       PairCounterBuilder(config).build(observe_whole(t), t.paths());
   expect_counts_equal(from_trace, from_obs);
-}
-
-TEST(PairObservations, ParallelObservationBuildMatchesSerial) {
-  const auto t = make_random_pair_trace(34, 500);
-  const auto obs = observe_whole(t);
-  const auto serial = PairCounterBuilder(exact()).build(obs, t.paths());
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    ParallelPairCounterBuilder builder(exact(), threads);
-    expect_counts_equal(serial, builder.build(obs, t.paths()));
-  }
-}
-
-TEST(ShardedTable, AddPairsMatchesPerKeyAdds) {
-  util::Rng rng(0xADD);
-  ShardedPairCounterTable batched(8);
-  ShardedPairCounterTable per_key(8);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
-  for (int round = 0; round < 50; ++round) {
-    entries.clear();
-    const auto n = rng.below(40);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      // A small key space forces duplicate keys within one batch.
-      entries.emplace_back(rng.below(64), 1 + rng.below(3));
-    }
-    batched.add_pairs(entries);
-    for (const auto& [key, delta] : entries) {
-      per_key.add_pair_key(key, delta);
-    }
-  }
-  auto a = batched.pair_entries();
-  auto b = per_key.pair_entries();
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b);
-}
-
-TEST(ShardedTable, AddPairsEmptyIsANoOp) {
-  ShardedPairCounterTable table(4);
-  table.add_pairs({});
-  EXPECT_EQ(table.counter_count(), 0u);
 }
 
 }  // namespace

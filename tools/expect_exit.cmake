@@ -1,0 +1,32 @@
+# Runs a command and passes only if it exits with EXPECT_EXIT and its
+# stderr matches the regex EXPECT_STDERR — for CLI tests that must refuse
+# an input with one specific error, where WILL_FAIL would accept any crash
+# and PASS_REGULAR_EXPRESSION would ignore the exit code.
+#
+#   cmake -DEXPECT_EXIT=1 "-DEXPECT_STDERR=<regex>" -P expect_exit.cmake \
+#         -- <program> <args>...
+
+set(command "")
+set(after_separator FALSE)
+math(EXPR last "${CMAKE_ARGC} - 1")
+foreach(i RANGE ${last})
+  if(after_separator)
+    list(APPEND command "${CMAKE_ARGV${i}}")
+  elseif(CMAKE_ARGV${i} STREQUAL "--")
+    set(after_separator TRUE)
+  endif()
+endforeach()
+if(NOT command)
+  message(FATAL_ERROR "expect_exit.cmake: no command after --")
+endif()
+
+execute_process(COMMAND ${command}
+  RESULT_VARIABLE code OUTPUT_QUIET ERROR_VARIABLE stderr)
+if(NOT code STREQUAL "${EXPECT_EXIT}")
+  message(FATAL_ERROR
+    "exit code ${code}, expected ${EXPECT_EXIT}; stderr:\n${stderr}")
+endif()
+if(NOT stderr MATCHES "${EXPECT_STDERR}")
+  message(FATAL_ERROR
+    "stderr does not match '${EXPECT_STDERR}':\n${stderr}")
+endif()

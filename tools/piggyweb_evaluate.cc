@@ -36,7 +36,6 @@
 #include "volume/directory.h"
 #include "volume/pair_counter.h"
 #include "volume/probability.h"
-#include "volume/sharded_pair_counter.h"
 #include "volume/serialize.h"
 
 using namespace piggyweb;
@@ -334,12 +333,8 @@ int main(int argc, char** argv) {
       for_each_window([&](std::span<const trace::Request> window) {
         observations.observe_window(window);
       });
-      const auto counts =
-          threads != 1
-              ? volume::ParallelPairCounterBuilder(pcc, threads)
-                    .build(observations, view->paths(), min_count)
-              : volume::PairCounterBuilder(pcc).build(
-                    observations, view->paths(), min_count);
+      const auto counts = volume::PairCounterBuilder(pcc).build(
+          observations, view->paths(), min_count);
       volume::ProbabilityVolumeConfig pvc;
       pvc.probability_threshold = flags.get_double("pt");
       pvc.effectiveness_threshold = flags.get_double("eff");
@@ -350,9 +345,13 @@ int main(int argc, char** argv) {
     }
     spec = sim::shard_probability_volumes(&set, 200);
     // Probability volumes are rebuilt deterministically from the trace and
-    // training flags, so only the shared eval knobs are echoed; the trace
-    // fingerprint pins the input.
-    echo = persist::make_eval_config_echo("probability", config, nullptr);
+    // training flags (or reloaded from --volumes), so the echo carries a
+    // hash of the set itself: a resume under a different p_t, eff,
+    // combine level, min count or volume file is refused. Hashing the set
+    // costs tens of ms on a 1M-request log, so only checkpointing runs,
+    // the echo's only consumers, pay for it.
+    echo = persist::make_eval_config_echo("probability", config, nullptr,
+                                          checkpointing ? &set : nullptr);
   } else {
     std::fprintf(stderr, "unknown scheme '%s'\n", scheme.c_str());
     return 2;
