@@ -14,7 +14,7 @@
 //     header), cycle-guarded; unknown callees become an opaque
 //     "call:<suffix>" op with the serialize_/deserialize_ prefix
 //     stripped so symmetric unknown calls still compare equal;
-//   * calls through a function *parameter* (serialize_flat_map's
+//   * calls through a function *parameter* (a templated writer's
 //     `write_value(out, v)`) become "param#k" ops, where k indexes the
 //     non-codec parameters — the writer's WriteValue and the reader's
 //     ReadValue unify even though their names differ. At a call site

@@ -183,11 +183,7 @@ std::string serialize_eval_snapshot(const EvalSnapshot& snapshot) {
     out.u64(m.rpv.size());
     for (const auto& [key, entries] : m.rpv) {
       out.u64(key);
-      out.u64(entries.size());
-      for (const auto& entry : entries) {
-        out.u32(entry.volume);
-        out.i64(entry.when.value);
-      }
+      serialize_rpv_entries(entries, out);
     }
     writer.add_section("eval_metrics", out.take());
   }

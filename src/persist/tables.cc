@@ -8,34 +8,8 @@
 #include "proxy/cache.h"
 #include "util/expect.h"
 #include "volume/directory.h"
-#include "volume/pair_counter.h"
 
 namespace piggyweb::persist {
-
-// Primitive vectors ---------------------------------------------------------
-
-void serialize_u64_vector(std::span<const std::uint64_t> values,
-                          ByteWriter& out) {
-  out.u64(values.size());
-  for (const auto v : values) out.u64(v);
-}
-
-bool deserialize_u64_vector(ByteReader& in, std::vector<std::uint64_t>& values,
-                            std::string& error) {
-  const auto count = in.u64();
-  if (!in.fits(count, 8)) {
-    error = "u64 vector count overruns input";
-    return false;
-  }
-  values.clear();
-  values.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) values.push_back(in.u64());
-  if (!in.ok()) {
-    error = "truncated u64 vector";
-    return false;
-  }
-  return true;
-}
 
 // util::InternTable ---------------------------------------------------------
 
@@ -69,10 +43,10 @@ bool deserialize_intern_table(ByteReader& in, util::InternTable& table,
   return true;
 }
 
-// core::RpvList -------------------------------------------------------------
+// core::RpvEntry lists ------------------------------------------------------
 
-void serialize_rpv_list(const core::RpvList& list, ByteWriter& out) {
-  const auto entries = list.entries();
+void serialize_rpv_entries(std::span<const core::RpvEntry> entries,
+                           ByteWriter& out) {
   out.u64(entries.size());
   for (const auto& entry : entries) {
     out.u32(entry.volume);
@@ -173,6 +147,82 @@ bool deserialize_probability_volume_set(ByteReader& in,
   return true;
 }
 
+// Pretrained volume file ----------------------------------------------------
+
+std::string serialize_volume_file(const volume::ProbabilityVolumeSet& set,
+                                  const util::InternTable& paths) {
+  SnapshotWriter writer;
+  ByteWriter table;
+  serialize_intern_table(paths, table);
+  writer.add_section("paths", table.take());
+  ByteWriter volumes;
+  serialize_probability_volume_set(set, volumes);
+  writer.add_section("probability_volumes", volumes.take());
+  return writer.finish();
+}
+
+std::optional<volume::ProbabilityVolumeSet> deserialize_volume_file(
+    std::string_view file, util::InternTable& paths, std::string& error) {
+  const auto reader = SnapshotReader::parse(file, error);
+  if (!reader.has_value()) return std::nullopt;
+  const auto* paths_section = reader->find("paths");
+  const auto* volumes_section = reader->find("probability_volumes");
+  if (paths_section == nullptr || volumes_section == nullptr) {
+    error = "missing paths or probability_volumes section";
+    return std::nullopt;
+  }
+  util::InternTable file_paths;
+  ByteReader paths_in(paths_section->payload);
+  volume::ProbabilityVolumeSet stored;
+  ByteReader volumes_in(volumes_section->payload);
+  if (!deserialize_intern_table(paths_in, file_paths, error) ||
+      !deserialize_probability_volume_set(volumes_in, stored, error)) {
+    return std::nullopt;
+  }
+  if (!paths_in.at_end() || !volumes_in.at_end()) {
+    error = "trailing bytes in volume file section";
+    return std::nullopt;
+  }
+
+  // Re-add in saved volume-id order so the loaded set keeps the ids;
+  // intern only the paths a volume references.
+  std::vector<std::pair<core::VolumeId, util::InternId>> order;
+  order.reserve(stored.volume_count());
+  for (const auto& [resource, entries] : stored.volumes()) {
+    order.emplace_back(stored.volume_id(resource), resource);
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<util::InternId> remap(file_paths.size(), util::kInvalidIntern);
+  const auto local = [&](util::InternId id) {
+    if (remap[id] == util::kInvalidIntern) {
+      remap[id] = paths.intern(file_paths.str(id));
+    }
+    return remap[id];
+  };
+  volume::ProbabilityVolumeSet set;
+  for (const auto& [id, resource] : order) {
+    if (resource >= file_paths.size()) {
+      error = "volume resource past the file's path table";
+      return std::nullopt;
+    }
+    const auto r = local(resource);
+    auto entries = *stored.volume_of(resource);
+    for (auto& entry : entries) {
+      if (entry.resource >= file_paths.size()) {
+        error = "volume entry past the file's path table";
+        return std::nullopt;
+      }
+      if (!(entry.probability >= 0 && entry.probability <= 1)) {
+        error = "volume entry probability outside [0, 1]";
+        return std::nullopt;
+      }
+      entry.resource = local(entry.resource);
+    }
+    set.add_volume(r, std::move(entries));
+  }
+  return set;
+}
+
 // volume::DirectoryVolumes images -------------------------------------------
 
 void serialize_directory_volume_images(
@@ -228,32 +278,6 @@ bool deserialize_directory_volume_images(
     images.push_back(std::move(image));
   }
   return true;
-}
-
-// StateAccess: volume::PairCounts -------------------------------------------
-
-void StateAccess::serialize_pair_counts(const volume::PairCounts& counts,
-                                        ByteWriter& out) {
-  serialize_u64_vector(counts.c_r_, out);
-  serialize_flat_map(counts.pairs_, out,
-                     [](ByteWriter& w, const volume::PairCount& pair) {
-                       w.u64(pair.count);
-                       w.u64(pair.cr_at_creation);
-                     });
-}
-
-bool StateAccess::deserialize_pair_counts(ByteReader& in,
-                                          volume::PairCounts& counts,
-                                          std::string& error) {
-  if (!deserialize_u64_vector(in, counts.c_r_, error)) return false;
-  return deserialize_flat_map(
-      in, counts.pairs_,
-      [](ByteReader& r, volume::PairCount& pair, std::string&) {
-        pair.count = r.u64();
-        pair.cr_at_creation = r.u64();
-        return true;
-      },
-      error);
 }
 
 // StateAccess: volume::DirectoryVolumes -------------------------------------
@@ -359,8 +383,15 @@ void StateAccess::serialize_proxy_cache(const proxy::ProxyCache& cache,
   write_queue(cache.size_queue_);
   write_queue(cache.expiry_queue_);
 
-  serialize_flat_map(cache.freshness_overrides_, out,
-                     [](ByteWriter& w, util::Seconds s) { w.i64(s); });
+  // Freshness overrides sorted by key (FlatMap order is unspecified).
+  std::vector<std::pair<std::uint64_t, util::Seconds>> overrides(
+      cache.freshness_overrides_.begin(), cache.freshness_overrides_.end());
+  std::sort(overrides.begin(), overrides.end());
+  out.u64(overrides.size());
+  for (const auto& [key, seconds] : overrides) {
+    out.u64(key);
+    out.i64(seconds);
+  }
 
   out.u64(cache.stats_.lookups);
   out.u64(cache.stats_.fresh_hits);
@@ -454,15 +485,19 @@ bool StateAccess::deserialize_proxy_cache(ByteReader& in,
   }
 
   // ...then overrides and stats.
-  util::FlatMap<std::uint64_t, util::Seconds> overrides;
-  if (!deserialize_flat_map(
-          in, overrides,
-          [](ByteReader& r, util::Seconds& s, std::string&) {
-            s = r.i64();
-            return true;
-          },
-          error)) {
+  const auto override_count = in.u64();
+  if (!in.fits(override_count, 16)) {
+    error = "cache override count overruns input";
     return false;
+  }
+  util::FlatMap<std::uint64_t, util::Seconds> overrides;
+  overrides.reserve(override_count);
+  for (std::uint64_t i = 0; i < override_count; ++i) {
+    const auto key = in.u64();
+    if (!overrides.try_emplace(key, in.i64()).second) {
+      error = "duplicate cache override";
+      return false;
+    }
   }
   proxy::CacheStats stats;
   stats.lookups = in.u64();
@@ -515,91 +550,6 @@ bool StateAccess::deserialize_proxy_cache(ByteReader& in,
     auto& entry = cache.entries_.at(packed_of[idx]);
     entry.expiry_pos =
         cache.expiry_queue_.emplace(entry.expires.value, packed_of[idx]);
-  }
-  return true;
-}
-
-// StateAccess: core::RpvTable -----------------------------------------------
-
-void StateAccess::serialize_rpv_table(const core::RpvTable& table,
-                                      ByteWriter& out) {
-  out.i64(table.config_.timeout);
-  out.u64(table.config_.max_entries);
-  out.u64(table.max_servers_);
-  serialize_flat_map(table.lists_, out,
-                     [](ByteWriter& w, const core::RpvList& list) {
-                       serialize_rpv_list(list, w);
-                     });
-  out.u64(table.use_order_.size());
-  for (const auto server : table.use_order_) out.u32(server);
-}
-
-bool StateAccess::deserialize_rpv_table(ByteReader& in, core::RpvTable& table,
-                                        std::string& error) {
-  const auto timeout = in.i64();
-  const auto max_entries = in.u64();
-  const auto max_servers = in.u64();
-  if (!in.ok()) {
-    error = "truncated rpv table header";
-    return false;
-  }
-  if (timeout != table.config_.timeout ||
-      max_entries != table.config_.max_entries ||
-      max_servers != table.max_servers_) {
-    error = "rpv table config mismatch";
-    return false;
-  }
-  table.lists_.clear();
-  table.use_order_.clear();
-  const auto count = in.u64();
-  if (!in.fits(count, 16)) {
-    error = "rpv table count overruns input";
-    return false;
-  }
-  table.lists_.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto raw = in.u64();
-    if (!in.ok()) {
-      error = "truncated rpv table";
-      return false;
-    }
-    if (raw > 0xffffffffull) {
-      error = "rpv server id out of range";
-      return false;
-    }
-    const auto [it, inserted] =
-        table.lists_.try_emplace(static_cast<util::InternId>(raw),
-                                 table.config_);
-    if (!inserted) {
-      error = "duplicate rpv server";
-      return false;
-    }
-    std::vector<core::RpvEntry> entries;
-    if (!deserialize_rpv_entries(in, entries, error)) return false;
-    it->second.restore_entries(entries);
-  }
-  const auto order_count = in.u64();
-  if (!in.ok() || order_count != table.lists_.size()) {
-    error = "rpv use order size mismatch";
-    return false;
-  }
-  util::FlatMap<util::InternId, std::uint8_t> seen;
-  seen.reserve(order_count);
-  for (std::uint64_t i = 0; i < order_count; ++i) {
-    const auto server = in.u32();
-    if (!in.ok()) {
-      error = "truncated rpv use order";
-      return false;
-    }
-    if (!table.lists_.contains(server)) {
-      error = "rpv use order references unknown server";
-      return false;
-    }
-    if (!seen.try_emplace(server).second) {
-      error = "duplicate server in rpv use order";
-      return false;
-    }
-    table.use_order_.push_back(server);
   }
   return true;
 }

@@ -6,9 +6,8 @@
 // round-trip property suites rely on.
 //
 // Tables whose state is reachable through public APIs are handled by the
-// free functions here; tables that need private access (PairCounts,
-// DirectoryVolumes, ProxyCache, RpvTable, the engine's node array) go
-// through persist::StateAccess (state_access.h).
+// free functions here; tables that need private access (DirectoryVolumes,
+// ProxyCache) go through persist::StateAccess (state_access.h).
 //
 // Every deserializer is defensive: counts are bounds-checked against the
 // remaining input before any allocation, structural invariants (duplicate
@@ -16,28 +15,20 @@
 // string, and no input can trip a contract failure or undefined behaviour.
 #pragma once
 
-#include <algorithm>
 #include <array>
-#include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/rpv.h"
 #include "persist/codec.h"
-#include "util/flat_map.h"
 #include "util/intern.h"
 #include "util/time.h"
 #include "volume/probability.h"
 
 namespace piggyweb::persist {
-
-// Primitive vectors ---------------------------------------------------------
-
-void serialize_u64_vector(std::span<const std::uint64_t> values,
-                          ByteWriter& out);
-bool deserialize_u64_vector(ByteReader& in, std::vector<std::uint64_t>& values,
-                            std::string& error);
 
 // util::InternTable ---------------------------------------------------------
 //
@@ -48,66 +39,14 @@ void serialize_intern_table(const util::InternTable& table, ByteWriter& out);
 bool deserialize_intern_table(ByteReader& in, util::InternTable& table,
                               std::string& error);
 
-// util::FlatMap -------------------------------------------------------------
+// core::RpvEntry lists ------------------------------------------------------
 //
-// Iteration order is unspecified, so the canonical encoding sorts entries
-// by key. `write_value(out, value)` / `read_value(in, value, error)`
-// encode the mapped type; read_value returns false (with `error` set) to
-// reject a malformed value.
+// One RPV FIFO's contents oldest first, no expiry applied (see
+// RpvList::entries). The caller installs read entries into a list
+// constructed with the run's RpvConfig via RpvList::restore_entries.
 
-template <typename K, typename V, typename WriteValue>
-void serialize_flat_map(const util::FlatMap<K, V>& map, ByteWriter& out,
-                        WriteValue&& write_value) {
-  std::vector<const typename util::FlatMap<K, V>::value_type*> entries;
-  entries.reserve(map.size());
-  for (const auto& kv : map) entries.push_back(&kv);
-  std::sort(entries.begin(), entries.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  out.u64(entries.size());
-  for (const auto* kv : entries) {
-    out.u64(static_cast<std::uint64_t>(kv->first));
-    write_value(out, kv->second);
-  }
-}
-
-template <typename K, typename V, typename ReadValue>
-bool deserialize_flat_map(ByteReader& in, util::FlatMap<K, V>& map,
-                          ReadValue&& read_value, std::string& error) {
-  const auto count = in.u64();
-  if (!in.fits(count, 8)) {
-    error = "flat map count overruns input";
-    return false;
-  }
-  map.clear();
-  map.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto raw = in.u64();
-    const auto key = static_cast<K>(raw);
-    if (static_cast<std::uint64_t>(key) != raw) {
-      error = "flat map key out of range";
-      return false;
-    }
-    const auto [it, inserted] = map.try_emplace(key);
-    if (!inserted) {
-      error = "duplicate flat map key";
-      return false;
-    }
-    if (!read_value(in, it->second, error)) return false;
-  }
-  if (!in.ok()) {
-    error = "truncated flat map";
-    return false;
-  }
-  return true;
-}
-
-// core::RpvList -------------------------------------------------------------
-//
-// FIFO contents oldest first, no expiry applied. The read side returns raw
-// entries; the caller installs them into a list constructed with the
-// run's RpvConfig via RpvList::restore_entries.
-
-void serialize_rpv_list(const core::RpvList& list, ByteWriter& out);
+void serialize_rpv_entries(std::span<const core::RpvEntry> entries,
+                           ByteWriter& out);
 bool deserialize_rpv_entries(ByteReader& in,
                              std::vector<core::RpvEntry>& entries,
                              std::string& error);
@@ -122,6 +61,17 @@ void serialize_probability_volume_set(const volume::ProbabilityVolumeSet& set,
 bool deserialize_probability_volume_set(ByteReader& in,
                                         volume::ProbabilityVolumeSet& set,
                                         std::string& error);
+
+// Pretrained volume file: a PIGGYSNP container with a "paths" section
+// (the training trace's path table) and a "probability_volumes" section,
+// as written by piggyweb_generate --volumes-out. The loader interns each
+// path the volumes reference into `paths`, remapping its id, and keeps
+// the saved volume ids. It rejects empty volumes, probabilities outside
+// [0, 1] (NaN included) and resource ids past the file's path table.
+std::string serialize_volume_file(const volume::ProbabilityVolumeSet& set,
+                                  const util::InternTable& paths);
+std::optional<volume::ProbabilityVolumeSet> deserialize_volume_file(
+    std::string_view file, util::InternTable& paths, std::string& error);
 
 // volume::DirectoryVolumes ---------------------------------------------------
 //

@@ -1,10 +1,12 @@
 // Randomized round-trip and robustness tests for every wire codec:
 // chunked transfer-coding, HTTP messages, Piggy-filter / P-volume /
-// Piggy-hits grammars, and CLF lines. Deterministic seeds; two properties
+// Piggy-hits grammars, CLF lines, snapshot containers, binary traces and
+// pretrained volume files. Deterministic seeds; two properties
 // per codec: (1) serialize -> parse is the identity, (2) parsing mutated
 // bytes never crashes and either fails cleanly or yields a well-formed
 // value.
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "http/message.h"
 #include "http/piggy_headers.h"
 #include "persist/codec.h"
+#include "persist/tables.h"
 #include "trace/binary.h"
 #include "trace/clf.h"
 #include "util/rng.h"
@@ -397,6 +400,89 @@ TEST_P(CodecFuzz, BinaryTraceReaderSurvivesArbitraryStructuredPrefixes) {
     std::string error;
     EXPECT_FALSE(trace::load_binary_trace(file, out, error));
   }
+}
+
+std::string mutate(util::Rng& rng, std::string bytes) {
+  switch (rng.below(5)) {
+    case 0:  // single bit flip
+      if (!bytes.empty()) {
+        const auto pos = rng.below(bytes.size());
+        bytes[pos] = static_cast<char>(bytes[pos] ^ (1 << rng.below(8)));
+      }
+      break;
+    case 1:  // stomp a random run of bytes
+      if (!bytes.empty()) {
+        const auto pos = rng.below(bytes.size());
+        const auto run = 1 + rng.below(16);
+        for (std::uint64_t b = 0; b < run && pos + b < bytes.size(); ++b) {
+          bytes[pos + b] = static_cast<char>(rng.below(256));
+        }
+      }
+      break;
+    case 2:  // truncate
+      bytes.resize(rng.below(bytes.size() + 1));
+      break;
+    case 3:  // append garbage
+      bytes += random_bytes(rng, 32);
+      break;
+    case 4:  // replace outright
+      bytes = random_bytes(rng, 256);
+      break;
+  }
+  return bytes;
+}
+
+TEST_P(CodecFuzz, VolumeFilePayloadMutationsNeverCrash) {
+  // Mutated section payloads re-wrapped in a well-formed container with
+  // correct checksums, so the volume loader itself — not the container's
+  // checksums — must catch them. A load either fails with an error or
+  // yields a set whose ids and probabilities are in range.
+  int rejected = 0;
+  for (int i = 0; i < 200; ++i) {
+    util::InternTable paths;
+    volume::ProbabilityVolumeSet set;
+    const auto volumes = 1 + rng_.below(6);
+    for (std::uint64_t v = 0; v < volumes; ++v) {
+      std::vector<volume::VolumeEntry> entries(1 + rng_.below(4));
+      for (auto& entry : entries) {
+        entry = {paths.intern(random_path(rng_)), rng_.uniform(),
+                 rng_.uniform()};
+      }
+      set.add_volume(paths.intern(random_path(rng_)), std::move(entries));
+    }
+    const auto file = persist::serialize_volume_file(set, paths);
+    std::string error;
+    const auto reader = persist::SnapshotReader::parse(file, error);
+    ASSERT_TRUE(reader.has_value()) << error;
+    persist::SnapshotWriter writer;
+    const auto target = rng_.below(reader->sections().size());
+    for (std::size_t s = 0; s < reader->sections().size(); ++s) {
+      const auto& section = reader->sections()[s];
+      std::string payload(section.payload);
+      writer.add_section(section.name, s == target || rng_.below(4) == 0
+                                           ? mutate(rng_, std::move(payload))
+                                           : std::move(payload));
+    }
+
+    util::InternTable loaded_paths;
+    error.clear();
+    const auto loaded =
+        persist::deserialize_volume_file(writer.finish(), loaded_paths, error);
+    if (!loaded.has_value()) {
+      EXPECT_FALSE(error.empty()) << "iteration " << i;
+      ++rejected;
+      continue;
+    }
+    for (const auto& [r, entries] : loaded->volumes()) {
+      ASSERT_LT(r, loaded_paths.size());
+      ASSERT_FALSE(entries.empty());
+      for (const auto& entry : entries) {
+        ASSERT_LT(entry.resource, loaded_paths.size());
+        ASSERT_TRUE(entry.probability >= 0 && entry.probability <= 1);
+      }
+    }
+  }
+  EXPECT_GT(rejected, 100);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz,

@@ -4,7 +4,7 @@
 // (one thread) and sharded, directory and probability schemes, across
 // thread counts.
 // Also covers the canonical-bytes guarantee (the snapshot does not depend
-// on the saving run's thread count) and the engine node-state round trip.
+// on the saving run's thread count).
 #include "persist/eval_state.h"
 
 #include <gtest/gtest.h>
@@ -17,9 +17,7 @@
 #include <vector>
 
 #include "obs/registry.h"
-#include "persist/engine_state.h"
 #include "server/meta.h"
-#include "sim/engine.h"
 #include "sim/parallel_eval.h"
 #include "sim/prediction_eval.h"
 #include "trace/profiles.h"
@@ -310,48 +308,6 @@ TEST(CheckpointResume, SaveLoadFileRoundTrip) {
 
   EXPECT_FALSE(load_eval_snapshot("missing_checkpoint.snap", error)
                    .has_value());
-  EXPECT_FALSE(error.empty());
-}
-
-// Engine node state (caches + filter RPV tables) ----------------------------
-
-sim::UniformTreeSpec tree_spec() {
-  sim::UniformTreeSpec spec;
-  spec.depth = 2;
-  spec.fanout = 2;
-  spec.leaf_cache.capacity_bytes = 512 * 1024;
-  spec.root_cache.capacity_bytes = 2ULL * 1024 * 1024;
-  spec.base_filter.max_elements = 16;
-  return spec;
-}
-
-TEST(EngineState, RoundTripIsByteStable) {
-  const auto topology = sim::uniform_tree_topology(tree_spec());
-  sim::EngineConfig config;
-  config.volumes.level = 1;
-
-  sim::SimulationEngine engine(workload(), topology, config);
-  engine.run();
-  const auto bytes = serialize_engine_state(engine);
-
-  sim::SimulationEngine restored(workload(), topology, config);
-  std::string error;
-  ASSERT_TRUE(restore_engine_state(restored, bytes, error)) << error;
-  EXPECT_EQ(serialize_engine_state(restored), bytes);
-}
-
-TEST(EngineState, NodeCountMismatchIsRejected) {
-  sim::EngineConfig config;
-  sim::SimulationEngine engine(
-      workload(), sim::uniform_tree_topology(tree_spec()), config);
-  const auto bytes = serialize_engine_state(engine);
-
-  auto wider = tree_spec();
-  wider.fanout = 3;
-  sim::SimulationEngine other(workload(),
-                              sim::uniform_tree_topology(wider), config);
-  std::string error;
-  EXPECT_FALSE(restore_engine_state(other, bytes, error));
   EXPECT_FALSE(error.empty());
 }
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,30 +22,6 @@
 
 namespace piggyweb::persist {
 namespace {
-
-// u64 vectors ---------------------------------------------------------------
-
-TEST(U64Vector, RoundTrip) {
-  const std::vector<std::uint64_t> values = {0, 1, 0xffffffffffffffffULL, 42};
-  ByteWriter out;
-  serialize_u64_vector(values, out);
-  ByteReader in(out.bytes());
-  std::vector<std::uint64_t> back;
-  std::string error;
-  ASSERT_TRUE(deserialize_u64_vector(in, back, error)) << error;
-  EXPECT_EQ(back, values);
-  EXPECT_TRUE(in.ok() && in.at_end());
-}
-
-TEST(U64Vector, OversizedCountIsRejected) {
-  ByteWriter out;
-  out.u64(1ULL << 60);  // count far beyond the payload
-  ByteReader in(out.bytes());
-  std::vector<std::uint64_t> back;
-  std::string error;
-  EXPECT_FALSE(deserialize_u64_vector(in, back, error));
-  EXPECT_FALSE(error.empty());
-}
 
 // Intern tables -------------------------------------------------------------
 
@@ -76,83 +53,6 @@ TEST(InternTableCodec, ReloadReproducesIdAssignment) {
   EXPECT_EQ(again.bytes(), bytes);
 }
 
-// FlatMap -------------------------------------------------------------------
-
-void write_u64_value(ByteWriter& out, std::uint64_t value) { out.u64(value); }
-bool read_u64_value(ByteReader& in, std::uint64_t& value, std::string&) {
-  value = in.u64();
-  return true;
-}
-
-TEST(FlatMapCodec, RoundTripUnderChurn) {
-  // Heavy insert/erase churn exercises backward-shift deletion and
-  // rehashing, so the two maps' probe layouts differ wildly; content
-  // equality and canonical bytes must not care.
-  util::Rng rng(0xf1a7);
-  util::FlatMap<std::uint32_t, std::uint64_t> map;
-  for (int round = 0; round < 5000; ++round) {
-    const auto key = static_cast<std::uint32_t>(rng.below(700));
-    if (rng.below(3) == 0) {
-      map.erase(key);
-    } else {
-      map[key] = rng.below(1 << 30);
-    }
-  }
-  ASSERT_GT(map.size(), 0u);
-
-  ByteWriter out;
-  serialize_flat_map(map, out, write_u64_value);
-  const auto bytes = out.take();
-
-  util::FlatMap<std::uint32_t, std::uint64_t> back;
-  back[999999] = 1;  // deserialize must clear pre-existing contents
-  ByteReader in(bytes);
-  std::string error;
-  ASSERT_TRUE(deserialize_flat_map(in, back, read_u64_value, error)) << error;
-  EXPECT_TRUE(map == back);
-  EXPECT_TRUE(in.ok() && in.at_end());
-
-  ByteWriter again;
-  serialize_flat_map(back, again, write_u64_value);
-  EXPECT_EQ(again.bytes(), bytes);
-}
-
-TEST(FlatMapCodec, DuplicateKeyIsRejected) {
-  ByteWriter out;
-  out.u64(2);
-  out.u64(7);
-  out.u64(100);
-  out.u64(7);  // duplicate key
-  out.u64(200);
-  ByteReader in(out.bytes());
-  util::FlatMap<std::uint32_t, std::uint64_t> map;
-  std::string error;
-  EXPECT_FALSE(deserialize_flat_map(in, map, read_u64_value, error));
-  EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
-}
-
-TEST(FlatMapCodec, KeyOutOfRangeIsRejected) {
-  ByteWriter out;
-  out.u64(1);
-  out.u64(1ULL << 40);  // does not fit in a u32 key
-  out.u64(5);
-  ByteReader in(out.bytes());
-  util::FlatMap<std::uint32_t, std::uint64_t> map;
-  std::string error;
-  EXPECT_FALSE(deserialize_flat_map(in, map, read_u64_value, error));
-  EXPECT_NE(error.find("range"), std::string::npos) << error;
-}
-
-TEST(FlatMapCodec, OversizedCountIsRejected) {
-  ByteWriter out;
-  out.u64(1ULL << 61);
-  ByteReader in(out.bytes());
-  util::FlatMap<std::uint32_t, std::uint64_t> map;
-  std::string error;
-  EXPECT_FALSE(deserialize_flat_map(in, map, read_u64_value, error));
-  EXPECT_NE(error.find("overruns"), std::string::npos) << error;
-}
-
 // RPV lists -----------------------------------------------------------------
 
 TEST(RpvCodec, ListRoundTripPreservesFifoOrder) {
@@ -165,7 +65,7 @@ TEST(RpvCodec, ListRoundTripPreservesFifoOrder) {
   list.note(3, util::TimePoint{120});  // refresh moves 3 behind 7
 
   ByteWriter out;
-  serialize_rpv_list(list, out);
+  serialize_rpv_entries(list.entries(), out);
   const auto bytes = out.take();
 
   ByteReader in(bytes);
@@ -179,7 +79,7 @@ TEST(RpvCodec, ListRoundTripPreservesFifoOrder) {
             (std::vector<core::VolumeId>{7, 3}));
 
   ByteWriter again;
-  serialize_rpv_list(restored, again);
+  serialize_rpv_entries(restored.entries(), again);
   EXPECT_EQ(again.bytes(), bytes);
 }
 
@@ -191,53 +91,6 @@ TEST(RpvCodec, TruncatedEntriesAreRejected) {
   std::string error;
   EXPECT_FALSE(deserialize_rpv_entries(in, entries, error));
   EXPECT_FALSE(error.empty());
-}
-
-// Pair counters -------------------------------------------------------------
-
-TEST(PairCounterCodec, PairCountsRoundTrip) {
-  // A random single-server trace with few sources and many repeats, so
-  // most counters are created after their r was already seen
-  // (cr_at_creation > 0) — a field the codec must carry.
-  trace::Trace trace;
-  util::Rng rng(0xc0117);
-  util::Seconds now = 0;
-  for (int i = 0; i < 2000; ++i) {
-    now += static_cast<util::Seconds>(rng.below(30));
-    std::string source = "c";
-    source += std::to_string(rng.below(6));
-    std::string path = "/p";
-    path += std::to_string(rng.below(40));
-    trace.add({now}, source, "server", path);
-  }
-  volume::PairCounterConfig pcc;
-  pcc.window = 60;
-  const auto counts = volume::PairCounterBuilder(pcc).build(trace);
-  ASSERT_GT(counts.counter_count(), 0u);
-
-  ByteWriter out;
-  StateAccess::serialize_pair_counts(counts, out);
-  const auto bytes = out.take();
-
-  volume::PairCounts back;
-  ByteReader in(bytes);
-  std::string error;
-  ASSERT_TRUE(StateAccess::deserialize_pair_counts(in, back, error)) << error;
-  EXPECT_EQ(back.counter_count(), counts.counter_count());
-  EXPECT_EQ(back.resource_occurrences(), counts.resource_occurrences());
-  bool created_late = false;
-  for (const auto& [key, pc] : counts.pairs()) {
-    const auto it = back.pairs().find(key);
-    ASSERT_NE(it, back.pairs().end()) << key;
-    EXPECT_EQ(it->second.count, pc.count) << key;
-    EXPECT_EQ(it->second.cr_at_creation, pc.cr_at_creation) << key;
-    created_late = created_late || pc.cr_at_creation > 0;
-  }
-  EXPECT_TRUE(created_late);
-
-  ByteWriter again;
-  StateAccess::serialize_pair_counts(back, again);
-  EXPECT_EQ(again.bytes(), bytes);
 }
 
 // Probability volume sets ---------------------------------------------------
@@ -274,6 +127,172 @@ TEST(ProbabilityVolumeCodec, RoundTripPreservesIds) {
   ByteWriter again;
   serialize_probability_volume_set(back, again);
   EXPECT_EQ(again.bytes(), bytes);
+}
+
+// Pretrained volume files ---------------------------------------------------
+
+volume::ProbabilityVolumeSet sample_volume_set(util::InternTable& paths) {
+  volume::ProbabilityVolumeSet set;
+  set.add_volume(paths.intern("/a/page.html"),
+                 {{paths.intern("/a/img.gif"), 0.875, 0.5},
+                  {paths.intern("/a/next.html"), 0.1, 1.0 / 3}});
+  set.add_volume(paths.intern("/b/doc.pdf"),
+                 {{paths.intern("/b/toc.html"), 1.0, 1.0}});
+  return set;
+}
+
+// Same volume ids and entries, resources compared by path string; the
+// doubles must survive bit-exact.
+void expect_same_volumes(const volume::ProbabilityVolumeSet& loaded,
+                         const util::InternTable& loaded_paths,
+                         const volume::ProbabilityVolumeSet& original,
+                         const util::InternTable& original_paths) {
+  ASSERT_EQ(loaded.volume_count(), original.volume_count());
+  for (const auto& [r, entries] : original.volumes()) {
+    const auto id = loaded_paths.find(original_paths.str(r));
+    ASSERT_TRUE(id.has_value()) << original_paths.str(r);
+    EXPECT_EQ(loaded.volume_id(*id), original.volume_id(r));
+    const auto* back = loaded.volume_of(*id);
+    ASSERT_NE(back, nullptr);
+    ASSERT_EQ(back->size(), entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      EXPECT_EQ(loaded_paths.str((*back)[i].resource),
+                original_paths.str(entries[i].resource));
+      EXPECT_EQ((*back)[i].probability, entries[i].probability);
+      EXPECT_EQ((*back)[i].effectiveness, entries[i].effectiveness);
+    }
+  }
+}
+
+// A well-formed container around a hand-built volumes payload.
+std::string volume_file_with(const util::InternTable& paths,
+                             std::string volumes) {
+  ByteWriter table;
+  serialize_intern_table(paths, table);
+  SnapshotWriter writer;
+  writer.add_section("paths", table.take());
+  writer.add_section("probability_volumes", std::move(volumes));
+  return writer.finish();
+}
+
+TEST(VolumeSerialize, SaveProducesHeaderAndVolumes) {
+  util::InternTable paths;
+  const auto set = sample_volume_set(paths);
+  const auto file = serialize_volume_file(set, paths);
+  std::string error;
+  const auto reader = SnapshotReader::parse(file, error);
+  ASSERT_TRUE(reader.has_value()) << error;
+  ASSERT_EQ(reader->sections().size(), 2u);
+  EXPECT_EQ(reader->sections()[0].name, "paths");
+  EXPECT_EQ(reader->sections()[1].name, "probability_volumes");
+  ByteWriter volumes;
+  serialize_probability_volume_set(set, volumes);
+  EXPECT_EQ(reader->sections()[1].payload, volumes.bytes());
+}
+
+TEST(VolumeSerialize, RoundTripPreservesEntries) {
+  util::InternTable paths;
+  const auto original = sample_volume_set(paths);
+  util::InternTable loaded_paths;
+  std::string error;
+  const auto loaded = deserialize_volume_file(
+      serialize_volume_file(original, paths), loaded_paths, error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  expect_same_volumes(*loaded, loaded_paths, original, paths);
+}
+
+TEST(VolumeSerialize, DeterministicOutput) {
+  util::InternTable paths;
+  const auto set = sample_volume_set(paths);
+  EXPECT_EQ(serialize_volume_file(set, paths),
+            serialize_volume_file(set, paths));
+}
+
+TEST(VolumeSerialize, RoundTripOfBuiltVolumes) {
+  // Build from a real trace and load into a table that already numbers
+  // the paths differently: ids are remapped, contents survive exactly,
+  // and a path no volume references is not interned.
+  trace::Trace t;
+  for (int i = 0; i < 10; ++i) {
+    const auto base = static_cast<util::Seconds>(i * 10000);
+    t.add({base}, "c1", "server", "/page.html");
+    t.add({base + 5}, "c1", "server", "/img.gif");
+    if (i % 2 == 0) t.add({base + 8}, "c1", "server", "/other.html");
+  }
+  t.add({500000}, "c2", "server", "/lonely.html");
+  t.sort_by_time();
+  volume::PairCounterConfig pcc;
+  const auto counts = volume::PairCounterBuilder(pcc).build(t);
+  volume::ProbabilityVolumeConfig pvc;
+  pvc.probability_threshold = 0.2;
+  const auto built = volume::build_probability_volumes(t, counts, pvc);
+  ASSERT_GT(built.volume_count(), 0u);
+
+  util::InternTable eval_paths;
+  eval_paths.intern("/unrelated.html");
+  eval_paths.intern("/img.gif");
+  std::string error;
+  const auto loaded = deserialize_volume_file(
+      serialize_volume_file(built, t.paths()), eval_paths, error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  expect_same_volumes(*loaded, eval_paths, built, t.paths());
+  EXPECT_EQ(eval_paths.find("/img.gif"), util::InternId{1});
+  EXPECT_FALSE(eval_paths.find("/lonely.html").has_value());
+}
+
+TEST(VolumeSerialize, LoadRejectsBadHeader) {
+  util::InternTable paths;
+  std::string error;
+  EXPECT_FALSE(deserialize_volume_file("", paths, error).has_value());
+  EXPECT_FALSE(deserialize_volume_file("piggyweb-volumes 1\n/a 1\n", paths,
+                                       error)
+                   .has_value());
+  // A valid container without the volume sections (an eval snapshot).
+  SnapshotWriter other;
+  other.add_section("eval_meta", "x");
+  EXPECT_FALSE(
+      deserialize_volume_file(other.finish(), paths, error).has_value());
+  EXPECT_NE(error.find("missing"), std::string::npos) << error;
+  EXPECT_TRUE(paths.empty());
+}
+
+TEST(VolumeSerialize, LoadRejectsMalformedBody) {
+  util::InternTable file_paths;
+  file_paths.intern("/a");
+  file_paths.intern("/b");
+  const auto rejected = [&](std::string volumes) {
+    util::InternTable paths;
+    std::string error;
+    const bool refused = !deserialize_volume_file(
+                              volume_file_with(file_paths,
+                                               std::move(volumes)),
+                              paths, error)
+                              .has_value();
+    return refused && !error.empty();
+  };
+  const auto payload = [](util::InternId r, volume::VolumeEntry entry) {
+    volume::ProbabilityVolumeSet set;
+    set.add_volume(r, {entry});
+    ByteWriter out;
+    serialize_probability_volume_set(set, out);
+    return out.take();
+  };
+  EXPECT_FALSE(rejected(payload(0, {1, 0.5, 0.5})));
+  EXPECT_TRUE(rejected(payload(0, {1, 1.5, 0.5})));
+  EXPECT_TRUE(rejected(payload(0, {1, -0.25, 0.5})));
+  EXPECT_TRUE(rejected(
+      payload(0, {1, std::numeric_limits<double>::quiet_NaN(), 0.5})));
+  EXPECT_TRUE(rejected(payload(2, {1, 0.5, 0.5})));  // resource past table
+  EXPECT_TRUE(rejected(payload(0, {7, 0.5, 0.5})));  // entry past table
+
+  ByteWriter empty_volume;
+  empty_volume.u64(1);
+  empty_volume.u32(0);
+  empty_volume.u64(0);
+  EXPECT_TRUE(rejected(empty_volume.take()));
+  const auto good = payload(0, {1, 0.5, 0.5});
+  EXPECT_TRUE(rejected(good.substr(0, good.size() - 3)));
+  EXPECT_TRUE(rejected(good + '\0'));
 }
 
 // Directory volume images ---------------------------------------------------
@@ -550,59 +569,6 @@ TEST(ProxyCacheCodec, TruncatedPayloadIsRejected) {
     EXPECT_FALSE(StateAccess::deserialize_proxy_cache(in, target, error))
         << "accepted truncation to " << len;
   }
-}
-
-// RPV tables ----------------------------------------------------------------
-
-TEST(RpvTableCodec, RoundTripPreservesListsAndLruOrder) {
-  core::RpvConfig config;
-  config.timeout = 300;
-  config.max_entries = 4;
-  core::RpvTable table(config, /*max_servers=*/8);
-  for (int i = 0; i < 40; ++i) {
-    const auto server = static_cast<util::InternId>(1 + (i * 7) % 5);
-    const auto volume = static_cast<core::VolumeId>(i % 6);
-    table.note(server, volume, util::TimePoint{i});
-  }
-  ASSERT_GT(table.tracked_servers(), 0u);
-
-  ByteWriter out;
-  StateAccess::serialize_rpv_table(table, out);
-  const auto bytes = out.take();
-
-  core::RpvTable restored(config, 8);
-  ByteReader in(bytes);
-  std::string error;
-  ASSERT_TRUE(StateAccess::deserialize_rpv_table(in, restored, error))
-      << error;
-  EXPECT_TRUE(in.ok() && in.at_end());
-  EXPECT_EQ(restored.tracked_servers(), table.tracked_servers());
-  for (util::InternId server = 1; server <= 5; ++server) {
-    EXPECT_EQ(restored.live(server, util::TimePoint{40}),
-              table.live(server, util::TimePoint{40}))
-        << "server " << server;
-  }
-
-  ByteWriter again;
-  StateAccess::serialize_rpv_table(restored, again);
-  EXPECT_EQ(again.bytes(), bytes);
-}
-
-TEST(RpvTableCodec, ConfigMismatchIsRejected) {
-  core::RpvConfig config;
-  config.timeout = 300;
-  core::RpvTable table(config, 8);
-  table.note(1, 2, util::TimePoint{5});
-  ByteWriter out;
-  StateAccess::serialize_rpv_table(table, out);
-
-  core::RpvConfig other = config;
-  other.timeout = 600;
-  core::RpvTable target(other, 8);
-  ByteReader in(out.bytes());
-  std::string error;
-  EXPECT_FALSE(StateAccess::deserialize_rpv_table(in, target, error));
-  EXPECT_FALSE(error.empty());
 }
 
 }  // namespace

@@ -124,6 +124,30 @@ bool FlagSet::get_bool(const std::string& name) const {
   return find(name, Type::kBool)->value == "true";
 }
 
+bool FlagSet::require_at_least(std::initializer_list<const char*> names,
+                               std::int64_t min) const {
+  for (const char* name : names) {
+    if (get_int(name) < min) {
+      std::fprintf(stderr, "--%s must be >= %lld\n", name,
+                   static_cast<long long>(min));
+      return false;
+    }
+  }
+  return true;
+}
+
+bool FlagSet::require_unit_interval(
+    std::initializer_list<const char*> names) const {
+  for (const char* name : names) {
+    const double value = get_double(name);
+    if (!(value >= 0.0 && value <= 1.0)) {
+      std::fprintf(stderr, "--%s must be in [0, 1]\n", name);
+      return false;
+    }
+  }
+  return true;
+}
+
 void FlagSet::print_usage(const char* argv0) const {
   std::fprintf(stderr, "%s — %s\n\nflags:\n", argv0, summary_.c_str());
   for (const auto& [name, flag] : flags_) {

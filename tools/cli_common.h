@@ -3,6 +3,7 @@
 // error so typos never pass silently.
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -34,6 +35,13 @@ class FlagSet {
   double get_double(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
   bool get_bool(const std::string& name) const;
+
+  // Domain checks after parse(): each prints "--name must be ..." on
+  // stderr and returns false at the first named flag out of range, so a
+  // tool can exit 2 instead of aborting or wrapping downstream.
+  bool require_at_least(std::initializer_list<const char*> names,
+                        std::int64_t min) const;
+  bool require_unit_interval(std::initializer_list<const char*> names) const;
 
   void print_usage(const char* argv0) const;
 

@@ -8,7 +8,11 @@
 //       --minfreq=10 --rpv-timeout=30
 //   piggyweb_evaluate --log=site.trc --scheme=probability --pt=0.2 --eff=0.2
 //   piggyweb_evaluate --log=synthetic:aiusa:0.05 --scheme=probability
-//       --volumes=pretrained.txt
+//       --volumes=pretrained.snap
+//
+// --volumes loads a PIGGYSNP volume file written by piggyweb_generate
+// --volumes-out (the training log's path table plus the volume set);
+// its paths are interned into the evaluated log's table.
 //
 // Checkpoint/restore: --stop-fraction=0.5 --save-state=ckpt.snap stops the
 // replay half way and writes a durable snapshot; a later run with
@@ -16,7 +20,6 @@
 // metrics bit-identical to an uninterrupted run, at any --threads value.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -36,7 +39,6 @@
 #include "volume/directory.h"
 #include "volume/pair_counter.h"
 #include "volume/probability.h"
-#include "volume/serialize.h"
 
 using namespace piggyweb;
 
@@ -113,7 +115,19 @@ int main(int argc, char** argv) {
                 "requests (0 = off): done/total, worker queue depth, "
                 "elapsed seconds, requests per second");
   tools::add_observability_flags(flags);
-  if (!flags.parse(argc, argv)) return 2;
+  if (!flags.parse(argc, argv) ||
+      !flags.require_at_least({"level", "combine-level", "maxpiggy", "minfreq",
+                               "min-count", "rpv-timeout", "min-interval",
+                               "threads", "limit"},
+                              0) ||
+      !flags.require_at_least({"window"}, 1) ||
+      !flags.require_unit_interval({"pt", "eff"})) {
+    return 2;
+  }
+  if (flags.get_int("horizon") <= flags.get_int("window")) {
+    std::fprintf(stderr, "--horizon must be greater than --window\n");
+    return 2;
+  }
 
   const auto report = flags.get_string("report");
   if (report != "text" && report != "json") {
@@ -127,10 +141,6 @@ int main(int argc, char** argv) {
       tools::make_run_scope(flags, "piggyweb_evaluate", argc, argv);
 
   const auto threads_flag = flags.get_int("threads");
-  if (threads_flag < 0) {
-    std::fprintf(stderr, "--threads must be >= 0\n");
-    return 2;
-  }
   const auto save_state = flags.get_string("save-state");
   const auto load_state = flags.get_string("load-state");
   const auto stop_fraction = flags.get_double("stop-fraction");
@@ -139,12 +149,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool stream = flags.get_bool("stream");
-  const auto limit_flag = flags.get_int("limit");
-  if (limit_flag < 0) {
-    std::fprintf(stderr, "--limit must be >= 0\n");
-    return 2;
-  }
-  const auto limit = static_cast<std::size_t>(limit_flag);
+  const auto limit = static_cast<std::size_t>(flags.get_int("limit"));
   if ((stream || limit > 0) &&
       (!save_state.empty() || !load_state.empty())) {
     std::fprintf(stderr,
@@ -308,14 +313,11 @@ int main(int argc, char** argv) {
   } else if (scheme == "probability") {
     if (const auto volumes_path = flags.get_string("volumes");
         !volumes_path.empty()) {
-      std::ifstream volumes_in(volumes_path);
-      if (!volumes_in) {
-        std::fprintf(stderr, "cannot open %s\n", volumes_path.c_str());
-        return 1;
-      }
       std::string error;
-      auto loaded =
-          volume::load_volume_set(volumes_in, trace.paths(), error);
+      const auto bytes = persist::read_file_bytes(volumes_path, error);
+      auto loaded = bytes.has_value() ? persist::deserialize_volume_file(
+                                            *bytes, trace.paths(), error)
+                                      : std::nullopt;
       if (!loaded) {
         std::fprintf(stderr, "bad volume file: %s\n", error.c_str());
         return 1;

@@ -2,22 +2,23 @@
 //
 //   piggyweb_generate --profile=aiusa --scale=0.1 --out=aiusa.log
 //   piggyweb_generate --profile=sun --scale=0.01 --out=sun.log
-//       --volumes-out=sun-volumes.txt --pt=0.2 --eff=0.2
+//       --volumes-out=sun-volumes.snap --pt=0.2 --eff=0.2
 //
 // Profiles mirror the paper's six logs (aiusa, marimba, apache, sun,
 // att_client, digital_client). With --volumes-out the tool also trains
-// probability volumes on the generated log and saves them in the
-// piggyweb-volumes format for piggyweb_evaluate --volumes=....
+// probability volumes on the generated log and saves them, with the log's
+// path table, as a PIGGYSNP volume file for piggyweb_evaluate
+// --volumes=....
 #include <cstdio>
 #include <fstream>
 
 #include "cli_common.h"
+#include "persist/tables.h"
 #include "trace/clf.h"
 #include "trace/log_stats.h"
 #include "trace/profiles.h"
 #include "volume/pair_counter.h"
 #include "volume/probability.h"
-#include "volume/serialize.h"
 
 using namespace piggyweb;
 
@@ -38,7 +39,14 @@ int main(int argc, char** argv) {
   flags.add_int("min-count", 10,
                 "ignore resources with fewer accesses when training");
   tools::add_observability_flags(flags);
-  if (!flags.parse(argc, argv)) return 2;
+  if (!flags.parse(argc, argv) || !flags.require_unit_interval({"pt", "eff"}) ||
+      !flags.require_at_least({"min-count"}, 0)) {
+    return 2;
+  }
+  if (!(flags.get_double("scale") > 0)) {
+    std::fprintf(stderr, "--scale must be > 0\n");
+    return 2;
+  }
   const auto run_scope =
       tools::make_run_scope(flags, "piggyweb_generate", argc, argv);
 
@@ -85,12 +93,14 @@ int main(int argc, char** argv) {
     pvc.effectiveness_threshold = flags.get_double("eff");
     const auto set =
         volume::build_probability_volumes(workload.trace, counts, pvc);
-    std::ofstream out(volumes_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", volumes_out.c_str());
+    std::string error;
+    if (!persist::write_file_bytes(
+            volumes_out,
+            persist::serialize_volume_file(set, workload.trace.paths()),
+            error)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
-    volume::save_volume_set(out, set, workload.trace.paths());
     const auto vstats = set.stats();
     std::printf("wrote %s (%zu volumes, avg size %.1f)\n",
                 volumes_out.c_str(), vstats.volumes,
