@@ -99,7 +99,10 @@ struct VolumePrediction {
 //     needs (core::apply_filter_into stops at max_elements), and only for
 //     messages that will be sent — a volume's candidates cost nothing
 //     when frequency control or RPV suppresses the message.
-class VolumeProvider : public CandidateCursor {
+// Cache-line aligned: the parallel evaluator's per-worker replicas write
+// their cursor state on every request from different threads, and
+// replicas allocated back to back would otherwise share cache lines.
+class alignas(64) VolumeProvider : public CandidateCursor {
  public:
   virtual ~VolumeProvider() = default;
 

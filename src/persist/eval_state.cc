@@ -1,7 +1,6 @@
 #include "persist/eval_state.h"
 
 #include <algorithm>
-#include <iterator>
 #include <tuple>
 #include <utility>
 
@@ -13,11 +12,6 @@
 namespace piggyweb::persist {
 
 namespace {
-
-bool by_key(const std::pair<std::uint64_t, sim::detail::ResourceState>& a,
-            const std::pair<std::uint64_t, sim::detail::ResourceState>& b) {
-  return a.first < b.first;
-}
 
 template <typename Pairs>
 void sort_unique_by_key(Pairs& pairs) {
@@ -65,7 +59,7 @@ EvalConfigEcho make_eval_config_echo(
 }
 
 EvalSnapshot capture_eval_state(
-    std::span<const volume::DirectoryVolumes* const> providers,
+    const volume::DirectoryVolumes* volumes,
     std::span<const sim::detail::MetricAccumulator* const> accumulators,
     EvalConfigEcho config, std::uint64_t next_request,
     std::uint64_t total_requests, std::uint64_t fingerprint) {
@@ -76,28 +70,25 @@ EvalSnapshot capture_eval_state(
   snapshot.total_requests = total_requests;
   snapshot.fingerprint = fingerprint;
 
-  for (const auto* provider : providers) {
-    PW_EXPECT(provider != nullptr);
-    auto images = StateAccess::export_directory_volumes(*provider);
-    snapshot.volumes.insert(snapshot.volumes.end(),
-                            std::make_move_iterator(images.begin()),
-                            std::make_move_iterator(images.end()));
+  if (volumes != nullptr) {
+    snapshot.volumes = StateAccess::export_directory_volumes(*volumes);
   }
-  // Canonical order: sorted by (server, prefix). Each (server, prefix)
-  // lives in exactly one shard, so the set — and with it the sorted
-  // sequence — is the same at every shard count.
+  // Canonical order: sorted by (server, prefix), independent of the order
+  // the run discovered the volumes in.
   std::sort(snapshot.volumes.begin(), snapshot.volumes.end(),
             [](const DirectoryVolumeImage& a, const DirectoryVolumeImage& b) {
               return std::tie(a.server, a.prefix) <
                      std::tie(b.server, b.prefix);
             });
-  util::FlatMap<core::VolumeId, core::VolumeId> canonical_of;
-  canonical_of.reserve(snapshot.volumes.size());
+  // Run ids are dense, 0..n-1, so run id -> canonical index is a vector.
+  std::vector<core::VolumeId> canonical_of(snapshot.volumes.size(),
+                                           core::kNoVolume);
   for (std::size_t i = 0; i < snapshot.volumes.size(); ++i) {
     auto& image = snapshot.volumes[i];
-    const auto canonical = static_cast<core::VolumeId>(i);
-    PW_ENSURE(canonical_of.try_emplace(image.saved_id, canonical).second);
-    image.saved_id = canonical;
+    PW_ENSURE(image.saved_id < canonical_of.size() &&
+              canonical_of[image.saved_id] == core::kNoVolume);
+    canonical_of[image.saved_id] = static_cast<core::VolumeId>(i);
+    image.saved_id = static_cast<core::VolumeId>(i);
   }
 
   for (const auto* accumulator : accumulators) {
@@ -109,19 +100,12 @@ EvalSnapshot capture_eval_state(
     // indices; every noted id names a volume the run discovered.
     for (auto& kv : snapshot.metrics.rpv) {
       for (auto& entry : kv.second) {
-        const auto it = canonical_of.find(entry.volume);
-        PW_ENSURE(it != canonical_of.end());
-        entry.volume = it->second;
+        PW_ENSURE(entry.volume < canonical_of.size());
+        entry.volume = canonical_of[entry.volume];
       }
     }
   }
-  std::sort(snapshot.metrics.resource_state.begin(),
-            snapshot.metrics.resource_state.end(), by_key);
-  PW_ENSURE(std::adjacent_find(snapshot.metrics.resource_state.begin(),
-                               snapshot.metrics.resource_state.end(),
-                               [](const auto& a, const auto& b) {
-                                 return a.first == b.first;
-                               }) == snapshot.metrics.resource_state.end());
+  sort_unique_by_key(snapshot.metrics.resource_state);
   sort_unique_by_key(snapshot.metrics.last_piggy);
   sort_unique_by_key(snapshot.metrics.rpv);
   return snapshot;
@@ -390,73 +374,36 @@ std::optional<EvalSnapshot> load_eval_snapshot(const std::string& path,
 }
 
 EvalRestore::EvalRestore(const EvalSnapshot& snapshot)
-    : snapshot_(&snapshot),
-      directory_(snapshot.config.scheme == "directory"),
-      run_id_of_(snapshot.volumes.size(), core::kNoVolume) {}
+    : snapshot_(&snapshot) {}
 
-void EvalRestore::warm_provider(core::VolumeProvider& provider,
-                                std::size_t shard, std::size_t shards) {
-  if (!directory_) return;
-  PW_EXPECT(shards > 0 && shard < shards);
-  PW_EXPECT(!translated_.has_value());
-  if (provider_shards_expected_ == 0) provider_shards_expected_ = shards;
-  PW_EXPECT(provider_shards_expected_ == shards);
-  ++provider_shards_seen_;
-
+void EvalRestore::warm_provider(core::VolumeProvider& provider) const {
+  if (snapshot_->config.scheme != "directory") return;
   auto* target = dynamic_cast<volume::DirectoryVolumes*>(&provider);
   PW_ENSURE(target != nullptr);
-  std::vector<const DirectoryVolumeImage*> picked;
-  std::vector<std::size_t> canonical;
-  for (std::size_t i = 0; i < snapshot_->volumes.size(); ++i) {
-    const auto& image = snapshot_->volumes[i];
-    if (sim::directory_volume_shard(image.server, util::fnv1a(image.prefix),
-                                    shards) != shard) {
-      continue;
-    }
-    picked.push_back(&image);
-    canonical.push_back(i);
-  }
-  std::vector<core::VolumeId> assigned;
   std::string error;
+  // Canonical order in, so every volume id equals its canonical index —
+  // the ids the snapshot's RPV entries already hold.
   const bool imported =
-      StateAccess::import_directory_volumes(*target, picked, assigned, error);
+      StateAccess::import_directory_volumes(*target, snapshot_->volumes, error);
   PW_ENSURE(imported);  // the snapshot was structurally validated at parse
-  PW_ENSURE(assigned.size() == canonical.size());
-  for (std::size_t j = 0; j < canonical.size(); ++j) {
-    run_id_of_[canonical[j]] = assigned[j];
-  }
 }
 
 void EvalRestore::seed_accumulator(sim::detail::MetricAccumulator& accumulator,
-                                   std::size_t shard, std::size_t shards) {
+                                   std::size_t shard,
+                                   std::size_t shards) const {
   PW_EXPECT(shards > 0 && shard < shards);
-  if (directory_ && !translated_.has_value()) {
-    // All provider shards are warm (run_range's hooks contract), so the
-    // canonical -> run id map is complete.
-    PW_EXPECT(provider_shards_expected_ != 0 &&
-              provider_shards_seen_ == provider_shards_expected_);
-    translated_ = snapshot_->metrics;
-    for (auto& kv : translated_->rpv) {
-      for (auto& entry : kv.second) {
-        PW_ENSURE(entry.volume < run_id_of_.size());
-        entry.volume = run_id_of_[entry.volume];
-      }
-    }
-  }
-  const auto& image = directory_ ? *translated_ : snapshot_->metrics;
   accumulator.import_state(
-      image,
+      snapshot_->metrics,
       [shard, shards](util::InternId source) {
         return sim::source_shard(source, shards) == shard;
       },
       /*take_counters=*/shard == 0);
 }
 
-sim::EvalResumeHooks EvalRestore::hooks() {
+sim::EvalResumeHooks EvalRestore::hooks() const {
   sim::EvalResumeHooks hooks;
-  hooks.warm_provider = [this](core::VolumeProvider& provider,
-                               std::size_t shard, std::size_t shards) {
-    warm_provider(provider, shard, shards);
+  hooks.warm_provider = [this](core::VolumeProvider& provider) {
+    warm_provider(provider);
   };
   hooks.seed_accumulator = [this](sim::detail::MetricAccumulator& accumulator,
                                   std::size_t shard, std::size_t shards) {

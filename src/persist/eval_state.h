@@ -13,9 +13,10 @@
 //     equality, and nothing else observes them. The snapshot renumbers
 //     volumes into a canonical order — sorted by (server, prefix) — and
 //     rewrites the ids inside saved RPV state to canonical indices, so the
-//     snapshot bytes do not depend on the saving run's thread count. The
-//     restore assigns fresh run ids (per its own shard layout) and
-//     translates canonical indices forward.
+//     snapshot bytes do not depend on discovery order. A restore imports
+//     the volumes in canonical order into every provider replica, so each
+//     replica's volume id equals the canonical index and the saved RPV
+//     state needs no translation.
 //
 //   * Per-source state keys carry the source id in their high 32 bits, so
 //     one flat image re-shards at any source-shard count; the restoring
@@ -96,12 +97,12 @@ struct EvalSnapshot {
   std::vector<DirectoryVolumeImage> volumes;
 };
 
-// Collects per-shard provider/accumulator state into a canonical
-// snapshot. `providers` holds the run's DirectoryVolumes shards (empty
-// for the probability scheme); `accumulators` the per-source-shard metric
-// state (disjoint sources), as EvalResumeHooks::capture receives them.
+// Collects a run's provider/accumulator state into a canonical snapshot.
+// `volumes` is one of the run's DirectoryVolumes replicas (null for the
+// probability scheme); `accumulators` the per-source-shard metric state
+// (disjoint sources), as EvalResumeHooks::capture receives them.
 EvalSnapshot capture_eval_state(
-    std::span<const volume::DirectoryVolumes* const> providers,
+    const volume::DirectoryVolumes* volumes,
     std::span<const sim::detail::MetricAccumulator* const> accumulators,
     EvalConfigEcho config, std::uint64_t next_request,
     std::uint64_t total_requests, std::uint64_t fingerprint);
@@ -124,19 +125,16 @@ class EvalRestore {
  public:
   explicit EvalRestore(const EvalSnapshot& snapshot);
 
-  // Installs the snapshot volumes owned by provider shard `shard` of
-  // `shards` (no-op for the probability scheme). Every provider shard
-  // must be warmed before the first seed_accumulator call — the hooks
-  // contract of ParallelEvaluator::run_range guarantees this.
-  void warm_provider(core::VolumeProvider& provider, std::size_t shard,
-                     std::size_t shards);
+  // Installs every snapshot volume, in canonical order, into one fresh
+  // provider replica (no-op for the probability scheme).
+  void warm_provider(core::VolumeProvider& provider) const;
 
   // Seeds one source shard's accumulator; shard 0 takes the counters.
   void seed_accumulator(sim::detail::MetricAccumulator& accumulator,
-                        std::size_t shard, std::size_t shards);
+                        std::size_t shard, std::size_t shards) const;
 
   // Hooks bound to this object (capture left unset).
-  sim::EvalResumeHooks hooks();
+  sim::EvalResumeHooks hooks() const;
 
   std::size_t next_request() const {
     return static_cast<std::size_t>(snapshot_->next_request);
@@ -144,14 +142,6 @@ class EvalRestore {
 
  private:
   const EvalSnapshot* snapshot_;
-  bool directory_ = false;
-  std::size_t provider_shards_seen_ = 0;
-  std::size_t provider_shards_expected_ = 0;
-  // canonical volume index -> this run's volume id.
-  std::vector<core::VolumeId> run_id_of_;
-  // Snapshot metrics with RPV ids translated to run ids (built lazily at
-  // the first seed_accumulator call, after all providers are warm).
-  std::optional<sim::detail::EvalStateImage> translated_;
 };
 
 }  // namespace piggyweb::persist

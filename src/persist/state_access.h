@@ -26,18 +26,14 @@ namespace piggyweb::persist {
 
 struct StateAccess {
   // volume::DirectoryVolumes — full structural export/import. Import
-  // installs `images` in order into an empty provider (the i-th image
-  // becomes local volume i, public id = offset + stride * i) and appends
-  // the assigned public ids, parallel to `images`, to `assigned_ids`.
-  // Pointers, because a shard restore picks a non-contiguous subset of a
-  // snapshot's images. On failure the provider is partially filled and
+  // installs `images` in order into an empty provider: the i-th image
+  // becomes volume id i. On failure the provider is partially filled and
   // must be discarded.
   static std::vector<DirectoryVolumeImage> export_directory_volumes(
       const volume::DirectoryVolumes& provider);
   static bool import_directory_volumes(
       volume::DirectoryVolumes& provider,
-      std::span<const DirectoryVolumeImage* const> images,
-      std::vector<core::VolumeId>& assigned_ids, std::string& error);
+      std::span<const DirectoryVolumeImage> images, std::string& error);
 
   // proxy::ProxyCache — exact state: entries in LRU order, the three
   // replacement queues as index sequences (preserving equal-key order),

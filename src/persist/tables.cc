@@ -292,8 +292,7 @@ std::vector<DirectoryVolumeImage> StateAccess::export_directory_volumes(
     image.server = static_cast<util::InternId>(key >> 32);
     image.prefix = std::string(
         provider.prefixes_.str(static_cast<util::InternId>(key & 0xffffffffu)));
-    image.saved_id =
-        provider.config_.id_offset + provider.config_.id_stride * local;
+    image.saved_id = local;
     const auto& volume = provider.volumes_[local];
     for (std::size_t p = 0; p < kDirectoryPartitions; ++p) {
       image.parts[p].reserve(volume.parts[p].size());
@@ -307,19 +306,15 @@ std::vector<DirectoryVolumeImage> StateAccess::export_directory_volumes(
 
 bool StateAccess::import_directory_volumes(
     volume::DirectoryVolumes& provider,
-    std::span<const DirectoryVolumeImage* const> images,
-    std::vector<core::VolumeId>& assigned_ids, std::string& error) {
+    std::span<const DirectoryVolumeImage> images, std::string& error) {
   using volume::DirectoryVolumes;
   PW_EXPECT(provider.volumes_.empty());
-  assigned_ids.reserve(assigned_ids.size() + images.size());
   provider.volumes_.reserve(images.size());
-  for (const auto* image_ptr : images) {
-    PW_EXPECT(image_ptr != nullptr);
-    const auto& image = *image_ptr;
+  for (const auto& image : images) {
     const auto prefix = provider.prefixes_.intern(image.prefix);
     const auto key = DirectoryVolumes::volume_key(image.server, prefix);
-    const auto local = static_cast<core::VolumeId>(provider.volumes_.size());
-    if (!provider.ids_.try_emplace(key, local).second) {
+    const auto id = static_cast<core::VolumeId>(provider.volumes_.size());
+    if (!provider.ids_.try_emplace(key, id).second) {
       error = "duplicate (server, prefix) directory volume";
       return false;
     }
@@ -336,8 +331,6 @@ bool StateAccess::import_directory_volumes(
         }
       }
     }
-    assigned_ids.push_back(provider.config_.id_offset +
-                           provider.config_.id_stride * local);
   }
   return true;
 }

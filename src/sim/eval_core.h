@@ -1,24 +1,21 @@
 // Shared core of the serial and parallel prediction evaluators.
 //
-// The evaluation of one request factors into two halves with disjoint
-// state:
-//   1. the *provider* half — VolumeProvider::observe updates the volume
-//      state, and the static proxy filter pulls the volume's candidates;
-//      state partitions by volume (directory volumes) or is absent
-//      (probability volumes);
-//   2. the *metrics* half — prediction/true-prediction/update accounting,
+// The evaluation of one request has two parts:
+//   1. the *provider* part — VolumeProvider::observe updates the volume
+//      state, which all of a server's traffic shares (§3.2.1);
+//   2. the *metrics* part — prediction/true-prediction/update accounting,
 //      frequency control, and RPV suppression; state partitions by source
 //      (the paper's pseudo-proxies are independent prediction streams,
 //      §3.1).
-// MetricAccumulator is that second half and run_provider_half the first.
-// replay_inline runs both halves over one provider and one accumulator
-// (PredictionEvaluator, and ParallelEvaluator at one thread), and there
-// the accumulator decides first: it pulls a volume's candidates through
-// the filter only for messages that frequency control and RPV let
-// through. ParallelEvaluator at N threads runs half 1 sharded by volume
-// (filtering every request) and half 2 sharded by source, feeding each
-// source's requests to its accumulator in trace order. Suppression only
-// ever drops a message whole, so every path produces bit-identical
+// MetricAccumulator is the second part. replay_window runs both over one
+// window: the provider observes every request in trace order, and the
+// accumulator evaluates the requests it owns, pulling a volume's
+// candidates through the filter only for messages that frequency control
+// and RPV let through. PredictionEvaluator (and ParallelEvaluator at one
+// thread) owns every request; ParallelEvaluator's N workers each keep a
+// full provider replica, observe every request and own the sources that
+// source_shard maps to them, so every replica's volume state and volume
+// ids equal the serial ones and every path produces bit-identical
 // EvalResults.
 #pragma once
 
@@ -167,7 +164,7 @@ inline std::span<const trace::Request> sorted_window(trace::TraceView& view,
   return window;
 }
 
-// Buffers for the provider half, reused across requests so the steady
+// Buffers for the filter pull, reused across requests so the steady
 // state allocates nothing.
 struct ProviderScratch {
   core::PiggybackMessage message;
@@ -182,34 +179,33 @@ std::span<const util::InternId> filtered_resources(
     const core::VolumeRequest& request, const core::ProxyFilter& filter,
     const core::MetaOracle& meta, ProviderScratch& scratch);
 
-// The provider half for one window, when the metric half runs elsewhere:
-// the requests whose index passes `keep(i)` go to `provider` in trace
-// order; each one's candidates pass the static filter, and
-// `emit(i, volume, resources)` receives the message's volume and element
-// resource ids (valid until the next emit). Templated so the
-// per-request calls inline.
-template <typename Keep, typename Emit>
-void run_provider_half(std::span<const trace::Request> window,
-                       const trace::PathTypeTable& types,
-                       core::VolumeProvider& provider,
-                       const core::ProxyFilter& filter,
-                       const core::MetaOracle& meta, ProviderScratch& scratch,
-                       Keep&& keep, Emit&& emit) {
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    if (!keep(i)) continue;
-    const auto request =
-        make_volume_request(window[i], types.type_of(window[i].path));
+// The one per-request loop of both evaluators, over one window: the
+// provider observes every request in trace order, and `acc` evaluates
+// the requests that pass `owns(request)`, pulling the filtered message
+// only when one would be sent. Templated so the per-request calls
+// inline; the serial loop passes an `owns` that is always true.
+template <typename Owns>
+void replay_window(std::span<const trace::Request> window,
+                   const trace::PathTypeTable& types,
+                   core::VolumeProvider& provider,
+                   const core::ProxyFilter& filter,
+                   const core::MetaOracle& meta, ProviderScratch& scratch,
+                   MetricAccumulator& acc, Owns&& owns) {
+  for (const auto& req : window) {
+    const auto request = make_volume_request(req, types.type_of(req.path));
     const auto volume = provider.observe(request);
-    const auto resources =
-        filtered_resources(volume, provider, request, filter, meta, scratch);
-    emit(i, scratch.message.volume, resources);
+    if (!owns(req)) continue;
+    acc.observe_pulling(req, volume, [&] {
+      return filtered_resources(volume, provider, request, filter, meta,
+                                scratch);
+    });
   }
 }
 
-// Both halves inline over requests [begin, end) of `view`: one batch of
-// kEvalBatchRequests per view window, provider half then metric half,
-// into `acc` (which may carry restored state). Fires config.on_progress
-// after every batch. Does not publish.
+// Every request of [begin, end) of `view`, one batch of
+// kEvalBatchRequests per view window, through replay_window into `acc`
+// (which may carry restored state). Fires config.on_progress after every
+// batch. Does not publish.
 void replay_inline(const EvalConfig& config, trace::TraceView& view,
                    core::VolumeProvider& provider,
                    const core::MetaOracle& meta, std::size_t begin,

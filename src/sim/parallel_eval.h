@@ -1,31 +1,25 @@
-// Parallel sharded evaluation engine.
+// Parallel evaluation engine.
 //
 // Replays a trace through a volume provider + proxy filter on N worker
 // threads while producing results *bit-identical* to PredictionEvaluator —
-// for any trace, configuration, and thread count. At one thread both
-// halves run inline, exactly PredictionEvaluator's loop: no pool, no
-// shard column, no chunk barrier. At N > 1 threads the trace is processed
-// in time-ordered chunks, each chunk in two stages:
+// for any trace, configuration, and thread count. At one thread the run
+// is exactly PredictionEvaluator's loop: no pool, no chunk barrier. At
+// N > 1 threads the trace is processed in time-ordered chunks. The
+// calling thread decodes each chunk's window, then every worker reads it:
 //
-//   stage 1 (provider): requests are sharded by *volume key* (server +
-//     k-level directory prefix for directory volumes; any stable hash for
-//     stateless probability volumes). Each shard owns a private provider
-//     instance, so the per-volume FIFO/move-to-front state evolves exactly
-//     as in the serial run — a volume's requests are always handled by the
-//     same shard, in trace order. The shard applies the static proxy
-//     filter and stages the resulting message per request.
+//   worker w keeps a full replica of the provider and observes *every*
+//   request of the window in trace order, so its volume state and volume
+//   ids equal the serial run's (volume state is shared by all of a
+//   server's traffic, §3.2.1). It evaluates the metrics, frequency
+//   control and RPV only for the sources source_shard maps to w (the
+//   paper's pseudo-proxies are independent prediction streams, §3.1), and
+//   pulls a volume's candidates through the filter only for those
+//   requests' messages.
 //
-//   stage 2 (metrics): requests are sharded by *source*. Each shard owns
-//     the metric/frequency-control/RPV state for its sources (the paper's
-//     pseudo-proxies are independent prediction streams) and replays the
-//     staged messages through the shared MetricAccumulator — the same
-//     code the serial evaluator runs.
-//
-// Both stages use N shards. Per-shard partial results merge by integer
-// addition, so the totals do not depend on thread count or scheduling.
-// Directory-volume ids are numbered offset/stride per shard (globally
-// unique), which RPV equality checks cannot distinguish from serial
-// numbering.
+// Per-worker partial results merge by integer addition, so the totals do
+// not depend on thread count or scheduling. Every worker pays for
+// observing the whole window, which bounds the speedup, and each extra
+// directory replica costs one more copy of the volume state.
 #pragma once
 
 #include <cstddef>
@@ -46,62 +40,39 @@ class MetricAccumulator;
 
 struct ParallelEvalConfig {
   std::size_t threads = 0;  // 0 = hardware concurrency; 1 = inline
-  // Requests per chunk; the two stages synchronize at chunk boundaries.
+  // Requests per chunk; the workers synchronize at chunk boundaries.
   std::size_t chunk_requests = 1 << 15;
 };
 
-// The two shard functions. The snapshot restore (persist/eval_state.cc)
-// calls them too, so restored state lands in the shard that serves it.
-//
-// Directory volume (server, prefix) -> provider shard, where
-// `prefix_hash` is util::fnv1a of the volume's directory prefix; this is
-// the volume key of DirectoryVolumes, so a volume lives in one shard.
-inline std::size_t directory_volume_shard(util::InternId server,
-                                          std::uint64_t prefix_hash,
-                                          std::size_t shards) {
-  return static_cast<std::size_t>(util::hash_combine(server, prefix_hash) %
-                                  shards);
-}
-
-// Source (pseudo-proxy) -> metric shard.
+// Source (pseudo-proxy) -> worker. The snapshot restore
+// (persist/eval_state.cc) calls it too, so restored per-source state lands
+// in the worker that serves it.
 inline std::size_t source_shard(util::InternId source, std::size_t shards) {
   return static_cast<std::size_t>(util::mix64(source) % shards);
 }
 
-// How to build and address per-shard provider instances.
+// How to build the per-worker provider replicas.
 struct ShardedProviderSpec {
-  // Builds the provider owning shard `shard` of `shards`.
-  std::function<std::unique_ptr<core::VolumeProvider>(std::size_t shard,
-                                                      std::size_t shards)>
-      make;
-  // Maps a request to the shard whose provider must see it. Requests that
-  // touch the same provider state (the same volume) MUST map to the same
-  // shard; stateless providers may use any stable function of the request.
-  std::function<std::size_t(const trace::Request& request,
-                            std::size_t shards)>
-      shard_of;
+  // Builds one fresh provider; every worker gets its own.
+  std::function<std::unique_ptr<core::VolumeProvider>()> make;
 };
 
-// Directory volumes: shard by (server, directory-prefix) — the volume key —
-// so each volume's FIFO state lives wholly in one shard. Shard k of S gets
-// volume ids k, k+S, k+2S, ... (see DirectoryVolumeConfig::id_offset).
-// The spec borrows the path table (a view into a Trace or an mmap'd
-// container); the table's backing must outlive the spec. Building the spec
-// precomputes one prefix hash per distinct path, so shard_of never hashes
-// a string per request.
+// Directory volumes: each replica is a fresh DirectoryVolumes. The spec
+// borrows the path table (a view into a Trace or an mmap'd container);
+// the table's backing must outlive the spec.
 ShardedProviderSpec shard_directory_volumes(
     const volume::DirectoryVolumeConfig& config, util::StringTableView paths);
 ShardedProviderSpec shard_directory_volumes(
     const volume::DirectoryVolumeConfig& config, const trace::Trace& trace);
 
-// Probability volumes: stateless lookups into a shared immutable set; any
-// stable hash balances the work. `set` must outlive the returned spec.
+// Probability volumes: stateless lookups, so every replica wraps the same
+// shared immutable set. `set` must outlive the returned spec.
 ShardedProviderSpec shard_probability_volumes(
     const volume::ProbabilityVolumeSet* set, std::size_t max_candidates);
 
 struct ParallelEvalStats {
-  std::size_t threads = 0;       // = provider shards = source shards
-  std::size_t volume_count = 0;  // summed over shard providers
+  std::size_t threads = 0;       // = provider replicas = source shards
+  std::size_t volume_count = 0;  // one replica's, = the serial count
 };
 
 // Checkpoint/restore hooks for run_range. The evaluator guarantees the
@@ -109,20 +80,19 @@ struct ParallelEvalStats {
 // processed, seed_accumulator likewise, and capture runs after the last
 // request of the range, before results merge — so captured state is
 // exactly the state an uninterrupted run would carry past `end`. A
-// one-thread run has one shard of each (shard 0 of 1).
+// one-thread run has one replica and one source shard (shard 0 of 1).
 struct EvalResumeHooks {
-  // Seed one freshly built provider shard's volume state.
-  std::function<void(core::VolumeProvider& provider, std::size_t shard,
-                     std::size_t shards)>
-      warm_provider;
+  // Seed one freshly built provider replica's volume state; called once
+  // per replica, and every replica must end up in the same state.
+  std::function<void(core::VolumeProvider& provider)> warm_provider;
   // Seed one source shard's metric/frequency/RPV state.
   std::function<void(detail::MetricAccumulator& accumulator, std::size_t shard,
                      std::size_t shards)>
       seed_accumulator;
-  // Observe final per-shard state (providers indexed by provider shard,
-  // accumulators by source shard).
+  // Observe final state: one replica's provider (all are equal) and the
+  // accumulators indexed by source shard.
   std::function<void(
-      std::span<core::VolumeProvider* const> providers,
+      const core::VolumeProvider& provider,
       std::span<detail::MetricAccumulator* const> accumulators)>
       capture;
 };

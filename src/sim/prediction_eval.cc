@@ -105,26 +105,16 @@ void replay_inline(const EvalConfig& config, trace::TraceView& view,
 
   // One view window per batch (a subspan for materialized traces, a
   // bounded decode straight off the mapped columns for streaming ones),
-  // then per request: the provider observes it, the accumulator evaluates
-  // the metrics and the per-source controls, and only a message that
-  // would be sent pulls the volume's candidates through the filter.
-  // Requests are visited strictly in trace order, and memory stays
-  // bounded by the batch size regardless of trace length.
+  // visited strictly in trace order; memory stays bounded by the batch
+  // size regardless of trace length.
   const trace::PathTypeTable types(view.paths());
   ProviderScratch scratch;
   util::Seconds last_time = kNever;
   for (std::size_t base = begin; base < end; base += kEvalBatchRequests) {
     const auto stop = std::min(base + kEvalBatchRequests, end);
-    for (const auto& req :
-         sorted_window(view, base, stop - base, last_time)) {
-      const auto request =
-          make_volume_request(req, types.type_of(req.path));
-      const auto volume = provider.observe(request);
-      acc.observe_pulling(req, volume, [&] {
-        return filtered_resources(volume, provider, request, config.filter,
-                                  meta, scratch);
-      });
-    }
+    replay_window(sorted_window(view, base, stop - base, last_time), types,
+                  provider, config.filter, meta, scratch, acc,
+                  [](const trace::Request&) { return true; });
     if (config.on_progress) config.on_progress({stop - begin, end - begin, 0});
   }
 }

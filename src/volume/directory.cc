@@ -11,8 +11,6 @@ DirectoryVolumes::DirectoryVolumes(const DirectoryVolumeConfig& config)
     : config_(config) {
   PW_EXPECT(config.level >= 0);
   PW_EXPECT(config.max_volume_elements > 0);
-  PW_EXPECT(config.id_stride >= 1);
-  PW_EXPECT(config.id_offset < config.id_stride);
 }
 
 std::size_t DirectoryVolumes::partition_of(trace::ContentType type,
@@ -41,8 +39,6 @@ core::VolumeId DirectoryVolumes::observe(const core::VolumeRequest& request) {
   const auto prefix = prefix_of(request.path);
   const auto key = volume_key(request.server, prefix);
 
-  // ids_ holds the dense local index; the public id applies the
-  // offset/stride numbering from the config.
   auto [it, inserted] =
       ids_.try_emplace(key, static_cast<core::VolumeId>(volumes_.size()));
   if (inserted) volumes_.emplace_back();
@@ -56,7 +52,7 @@ core::VolumeId DirectoryVolumes::observe(const core::VolumeRequest& request) {
     cursor_heads_[p] = volume.parts[p].begin();
   }
   cursor_pulled_ = 0;
-  return config_.id_offset + config_.id_stride * it->second;
+  return it->second;
 }
 
 std::size_t DirectoryVolumes::pull(std::span<core::Candidate> out) {
@@ -137,15 +133,12 @@ core::VolumeId DirectoryVolumes::peek_volume(util::InternId server,
   if (!prefix.has_value()) return core::kNoVolume;
   const auto it = ids_.find(volume_key(server, *prefix));
   if (it == ids_.end()) return core::kNoVolume;
-  return config_.id_offset + config_.id_stride * it->second;
+  return it->second;
 }
 
 std::size_t DirectoryVolumes::volume_size(core::VolumeId id) const {
-  PW_EXPECT(id >= config_.id_offset);
-  PW_EXPECT((id - config_.id_offset) % config_.id_stride == 0);
-  const auto local = (id - config_.id_offset) / config_.id_stride;
-  PW_EXPECT(local < volumes_.size());
-  return volumes_[local].index.size();
+  PW_EXPECT(id < volumes_.size());
+  return volumes_[id].index.size();
 }
 
 }  // namespace piggyweb::volume

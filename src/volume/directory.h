@@ -32,14 +32,10 @@ struct DirectoryVolumeConfig {
   std::size_t max_volume_elements = 2000; // tail-trim bound per volume
   std::size_t max_candidates = 200;       // candidate budget per request
   std::uint64_t large_size_threshold = 8 * 1024;  // size-class boundary
-
-  // Volume-id numbering: the i-th volume this instance discovers gets id
-  // id_offset + i * id_stride. The parallel evaluator gives shard k of S
-  // offset k / stride S so ids stay globally unique across per-shard
-  // instances — RPV suppression compares ids for equality, so uniqueness
-  // is all that is needed for serial-identical filtering.
-  core::VolumeId id_offset = 0;
-  core::VolumeId id_stride = 1;
+  // Volume ids are dense and in discovery order: the i-th volume an
+  // instance discovers gets id i. Two instances fed the same requests
+  // number the same volumes alike, which is what lets the parallel
+  // evaluator's replicas share RPV state and a static RPV list.
 };
 
 class DirectoryVolumes final : public core::VolumeProvider {

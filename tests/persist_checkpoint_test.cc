@@ -93,21 +93,17 @@ EvalSnapshot capture_directory(const sim::EvalConfig& config,
   std::optional<EvalSnapshot> captured;
   sim::EvalResumeHooks hooks;
   hooks.capture =
-      [&](std::span<core::VolumeProvider* const> providers,
+      [&](const core::VolumeProvider& provider,
           std::span<sim::detail::MetricAccumulator* const> accumulators) {
-        EXPECT_EQ(providers.size(), threads);
         EXPECT_EQ(accumulators.size(), threads);
-        std::vector<const volume::DirectoryVolumes*> dirs;
-        for (auto* provider : providers) {
-          auto* directory = dynamic_cast<volume::DirectoryVolumes*>(provider);
-          ASSERT_NE(directory, nullptr);
-          dirs.push_back(directory);
-        }
+        const auto* directory =
+            dynamic_cast<const volume::DirectoryVolumes*>(&provider);
+        ASSERT_NE(directory, nullptr);
         std::vector<const sim::detail::MetricAccumulator*> accs(
             accumulators.begin(), accumulators.end());
         captured = capture_eval_state(
-            dirs, accs, make_eval_config_echo("directory", config, &dvc), mid,
-            trace.size(), trace_fingerprint(trace));
+            directory, accs, make_eval_config_echo("directory", config, &dvc),
+            mid, trace.size(), trace_fingerprint(trace));
       };
   run_range(config, sim::shard_directory_volumes(dvc, trace), 0, mid, threads,
             hooks);
@@ -199,12 +195,12 @@ TEST(CheckpointResume, ProbabilitySchemeRoundTrip) {
   std::optional<EvalSnapshot> snapshot;
   sim::EvalResumeHooks capture;
   capture.capture =
-      [&](std::span<core::VolumeProvider* const> /*providers*/,
+      [&](const core::VolumeProvider& /*provider*/,
           std::span<sim::detail::MetricAccumulator* const> accumulators) {
         std::vector<const sim::detail::MetricAccumulator*> accs(
             accumulators.begin(), accumulators.end());
         snapshot = capture_eval_state(
-            {}, accs,
+            nullptr, accs,
             make_eval_config_echo("probability", config, nullptr, &set), mid,
             trace.size(), trace_fingerprint(trace));
       };

@@ -385,17 +385,12 @@ TEST(DirectoryVolumesCodec, ExportImportPreservesStructure) {
 
   volume::DirectoryVolumes restored(config);
   restored.bind_paths(paths);
-  std::vector<const DirectoryVolumeImage*> pointers;
-  for (const auto& image : images) pointers.push_back(&image);
-  std::vector<core::VolumeId> assigned;
   std::string error;
-  ASSERT_TRUE(StateAccess::import_directory_volumes(restored, pointers,
-                                                    assigned, error))
+  ASSERT_TRUE(StateAccess::import_directory_volumes(restored, images, error))
       << error;
-  ASSERT_EQ(assigned.size(), images.size());
   EXPECT_EQ(restored.volume_count(), original.volume_count());
   for (std::size_t i = 0; i < images.size(); ++i) {
-    EXPECT_EQ(restored.volume_size(assigned[i]),
+    EXPECT_EQ(restored.volume_size(static_cast<core::VolumeId>(i)),
               original.volume_size(images[i].saved_id));
   }
   // The re-export must reproduce the same structural images (ids may be
@@ -421,11 +416,9 @@ TEST(DirectoryVolumesCodec, DuplicateVolumeIdentityIsRejected) {
   const auto images = sample_images();
   volume::DirectoryVolumeConfig config;
   volume::DirectoryVolumes provider(config);
-  std::vector<const DirectoryVolumeImage*> pointers = {&images[0], &images[0]};
-  std::vector<core::VolumeId> assigned;
+  const std::vector<DirectoryVolumeImage> twice = {images[0], images[0]};
   std::string error;
-  EXPECT_FALSE(StateAccess::import_directory_volumes(provider, pointers,
-                                                     assigned, error));
+  EXPECT_FALSE(StateAccess::import_directory_volumes(provider, twice, error));
   EXPECT_FALSE(error.empty());
 }
 

@@ -146,8 +146,8 @@ TEST(ParallelEvalDeterminism, ChunkBoundaries) {
   const auto config = full_controls_config();
   const auto workload = trace::generate(trace::aiusa_profile(0.03));
   const auto serial = run_serial_directory(workload, config, 1);
-  // Tiny chunks force many stage-1/stage-2 handoffs; an odd shard count
-  // exercises uneven shard loads.
+  // Tiny chunks force many chunk barriers; an odd worker count
+  // exercises uneven source loads.
   sim::ParallelEvalConfig par;
   par.threads = 3;
   par.chunk_requests = 64;
@@ -174,7 +174,7 @@ TEST(ParallelEvalDeterminism, StatsReportShardingAndVolumeTotals) {
       run_parallel_directory(workload, config, dvc.level, par, &stats);
   expect_identical(serial, parallel, "stats run");
   EXPECT_EQ(stats.threads, 4u);
-  // Sharded providers partition the same volume key space.
+  // Every replica holds the serial run's volumes.
   EXPECT_EQ(stats.volume_count, serial_volumes.volume_count());
 }
 

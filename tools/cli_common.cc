@@ -136,6 +136,18 @@ bool FlagSet::require_at_least(std::initializer_list<const char*> names,
   return true;
 }
 
+bool FlagSet::require_at_most(std::initializer_list<const char*> names,
+                              std::int64_t max) const {
+  for (const char* name : names) {
+    if (get_int(name) > max) {
+      std::fprintf(stderr, "--%s must be <= %lld\n", name,
+                   static_cast<long long>(max));
+      return false;
+    }
+  }
+  return true;
+}
+
 bool FlagSet::require_unit_interval(
     std::initializer_list<const char*> names) const {
   for (const char* name : names) {

@@ -41,6 +41,8 @@ class FlagSet {
   // tool can exit 2 instead of aborting or wrapping downstream.
   bool require_at_least(std::initializer_list<const char*> names,
                         std::int64_t min) const;
+  bool require_at_most(std::initializer_list<const char*> names,
+                       std::int64_t max) const;
   bool require_unit_interval(std::initializer_list<const char*> names) const;
 
   void print_usage(const char* argv0) const;

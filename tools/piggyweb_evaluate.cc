@@ -19,8 +19,10 @@
 // --load-state=ckpt.snap (same log, same flags) resumes there and reports
 // metrics bit-identical to an uninterrupted run, at any --threads value.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -85,9 +87,10 @@ int main(int argc, char** argv) {
   flags.add_int("window", 300, "prediction window T (seconds)");
   flags.add_int("horizon", 7200, "cache horizon C (seconds)");
   flags.add_int("threads", 1,
-                "evaluator worker threads (1 = both halves inline on the "
-                "calling thread, no pool; 0 = hardware concurrency); "
-                "metrics are identical for any value");
+                "evaluator worker threads, at most 256; each keeps a full "
+                "replica of the volume state (1 = inline on the calling "
+                "thread, no pool; 0 = hardware concurrency); metrics are "
+                "identical for any value");
   flags.add_bool("stream", false,
                  "replay without materializing the trace: binary "
                  "containers are decoded window by window straight off "
@@ -121,6 +124,10 @@ int main(int argc, char** argv) {
                                "threads", "limit"},
                               0) ||
       !flags.require_at_least({"window"}, 1) ||
+      !flags.require_at_most({"maxpiggy", "minfreq"},
+                              std::numeric_limits<std::uint32_t>::max()) ||
+      // Every worker is a full volume-state replica.
+      !flags.require_at_most({"threads"}, 256) ||
       !flags.require_unit_interval({"pt", "eff"})) {
     return 2;
   }
@@ -376,24 +383,19 @@ int main(int argc, char** argv) {
   }
   std::optional<persist::EvalSnapshot> captured;
   if (!save_state.empty()) {
-    // The providers span holds DirectoryVolumes shards for the directory
-    // scheme; the stateless probability scheme saves no volumes.
+    // The stateless probability scheme saves no volumes.
     hooks.capture =
-        [&](std::span<core::VolumeProvider* const> providers,
+        [&](const core::VolumeProvider& provider,
             std::span<sim::detail::MetricAccumulator* const> accumulators) {
-          std::vector<const volume::DirectoryVolumes*> dirs;
+          const volume::DirectoryVolumes* volumes = nullptr;
           if (directory) {
-            for (auto* provider : providers) {
-              auto* dir =
-                  dynamic_cast<const volume::DirectoryVolumes*>(provider);
-              PW_ENSURE(dir != nullptr);
-              dirs.push_back(dir);
-            }
+            volumes = dynamic_cast<const volume::DirectoryVolumes*>(&provider);
+            PW_ENSURE(volumes != nullptr);
           }
           const std::vector<const sim::detail::MetricAccumulator*> accs(
               accumulators.begin(), accumulators.end());
-          captured = persist::capture_eval_state(dirs, accs, echo, range_end,
-                                                 total, fingerprint);
+          captured = persist::capture_eval_state(volumes, accs, echo,
+                                                 range_end, total, fingerprint);
         };
   }
 
