@@ -85,9 +85,10 @@ std::pair<double, std::uint64_t> run_pair_mix(
   return {now_seconds() - start, checksum};
 }
 
-// Eval-state mix: operator[] over (source, resource) keys plus point
-// finds, the MetricAccumulator access pattern (insert-heavy early, then
-// read-mostly).
+// Eval-state mix: operator[] plus point finds over packed (source,
+// resource) keys, insert-heavy early and read-mostly later, comparing
+// FlatMap with std::unordered_map on one packed-key table. (The
+// MetricAccumulator itself keys small per-source tables by resource id.)
 template <typename Map>
 std::pair<double, std::uint64_t> run_eval_mix(
     const std::vector<std::uint64_t>& keys, int passes) {

@@ -17,6 +17,12 @@
 // source_shard maps to them, so every replica's volume state and volume
 // ids equal the serial ones and every path produces bit-identical
 // EvalResults.
+//
+// The accumulator's state follows the same partition: one record per
+// dense source id, with small resource- and server-keyed tables. A
+// request's probe and its message's ~20 mention writes then hit its
+// source's small, recently touched table; in one trace-sized
+// (source, resource) table nearly every probe would miss the cache.
 #pragma once
 
 #include <algorithm>
@@ -64,6 +70,7 @@ struct ResourceState {
   util::Seconds last_mention = kNever;   // any piggyback mention
   util::Seconds interval_open = kNever;  // start of current prediction
   bool fulfilled = false;
+  bool operator==(const ResourceState&) const = default;
 };
 
 // Packs two dense 32-bit ids into one map key.
@@ -124,14 +131,22 @@ class MetricAccumulator {
                     bool take_counters);
 
  private:
+  // Everything one source's requests touch, keyed by 32-bit ids.
+  struct SourceState {
+    util::FlatMap<std::uint32_t, ResourceState> resources;
+    util::FlatMap<std::uint32_t, util::Seconds> last_piggy;  // by server
+    util::FlatMap<std::uint32_t, core::RpvList> rpv;         // by server
+  };
+
+  SourceState& source_state(util::InternId source) {
+    if (source >= sources_.size()) sources_.resize(source + std::size_t{1});
+    return sources_[source];
+  }
+
   const EvalConfig* config_;
   EvalResult result_;
-  // (source, resource) -> state. Sources and resources are dense ids.
-  util::FlatMap<std::uint64_t, ResourceState> state_;
-  // (source, server) -> last piggyback time (frequency control).
-  util::FlatMap<std::uint64_t, util::Seconds> last_piggy_;
-  // (source, server) -> RPV list.
-  util::FlatMap<std::uint64_t, core::RpvList> rpv_;
+  // Indexed by dense source id; grows with the ids the accumulator sees.
+  std::vector<SourceState> sources_;
 };
 
 // Merge partial results from disjoint request sets: every field is a
@@ -219,7 +234,8 @@ void MetricAccumulator::observe_pulling(const trace::Request& req,
   const auto C = config_->cache_horizon;
 
   ++result_.requests;
-  auto& rs = state_[pair_key(req.source, req.path)];
+  auto& source = source_state(req.source);
+  auto& rs = source.resources[req.path];
 
   // --- metrics, evaluated against state from *earlier* requests --------
   const bool predicted =
@@ -250,10 +266,9 @@ void MetricAccumulator::observe_pulling(const trace::Request& req,
   // them before the message exists is exactly equivalent to feeding them
   // into apply_filter().
   if (!config_->filter.enabled) return;
-  const auto pair = pair_key(req.source, req.server);
   if (config_->min_piggyback_interval > 0) {
-    const auto it = last_piggy_.find(pair);
-    if (it != last_piggy_.end() &&
+    const auto it = source.last_piggy.find(req.server);
+    if (it != source.last_piggy.end() &&
         t - it->second < config_->min_piggyback_interval) {
       return;
     }
@@ -262,7 +277,7 @@ void MetricAccumulator::observe_pulling(const trace::Request& req,
   if (config_->use_rpv) {
     // Created and expired on every enabled request: the list's contents
     // are part of the checkpointed state.
-    rpv_list = &rpv_.try_emplace(pair, config_->rpv).first->second;
+    rpv_list = &source.rpv.try_emplace(req.server, config_->rpv).first->second;
     if (rpv_list->contains(volume, req.time)) return;
   }
   const std::span<const util::InternId> resources = pull();
@@ -270,11 +285,11 @@ void MetricAccumulator::observe_pulling(const trace::Request& req,
 
   ++result_.piggyback_messages;
   result_.piggyback_elements += resources.size();
-  last_piggy_[pair] = t;
+  source.last_piggy[req.server] = t;
   if (rpv_list != nullptr) rpv_list->note(volume, req.time);
 
   for (const auto resource : resources) {
-    auto& es = state_[pair_key(req.source, resource)];
+    auto& es = source.resources[resource];
     es.last_mention = t;
     if (es.interval_open == kNever || t - es.interval_open > T) {
       // A new prediction interval opens; multiple mentions within one

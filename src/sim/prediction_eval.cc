@@ -15,17 +15,17 @@ namespace detail {
 void MetricAccumulator::export_state(EvalStateImage& image) const {
   const EvalResult partials[] = {image.counters, result_};
   image.counters = merge_results(partials);
-  image.resource_state.reserve(image.resource_state.size() + state_.size());
-  for (const auto& [key, value] : state_) {
-    image.resource_state.emplace_back(key, value);
-  }
-  image.last_piggy.reserve(image.last_piggy.size() + last_piggy_.size());
-  for (const auto& [key, value] : last_piggy_) {
-    image.last_piggy.emplace_back(key, value);
-  }
-  image.rpv.reserve(image.rpv.size() + rpv_.size());
-  for (const auto& [key, list] : rpv_) {
-    image.rpv.emplace_back(key, list.entries());
+  for (util::InternId source = 0; source < sources_.size(); ++source) {
+    const auto& state = sources_[source];
+    for (const auto& [resource, value] : state.resources) {
+      image.resource_state.emplace_back(pair_key(source, resource), value);
+    }
+    for (const auto& [server, value] : state.last_piggy) {
+      image.last_piggy.emplace_back(pair_key(source, server), value);
+    }
+    for (const auto& [server, list] : state.rpv) {
+      image.rpv.emplace_back(pair_key(source, server), list.entries());
+    }
   }
 }
 
@@ -34,19 +34,26 @@ void MetricAccumulator::import_state(
     const std::function<bool(util::InternId source)>& owns,
     bool take_counters) {
   if (take_counters) result_ = image.counters;
-  const auto owned = [&owns](std::uint64_t key) {
-    return !owns || owns(static_cast<util::InternId>(key >> 32));
+  // A key's source state (null if `owns` refuses the source), and its low
+  // 32 bits: the resource or server id.
+  const auto owned = [&](std::uint64_t key) -> SourceState* {
+    const auto source = static_cast<util::InternId>(key >> 32);
+    return !owns || owns(source) ? &source_state(source) : nullptr;
+  };
+  const auto id = [](std::uint64_t key) {
+    return static_cast<std::uint32_t>(key);
   };
   for (const auto& [key, value] : image.resource_state) {
-    if (owned(key)) state_[key] = value;
+    if (auto* state = owned(key)) state->resources[id(key)] = value;
   }
   for (const auto& [key, value] : image.last_piggy) {
-    if (owned(key)) last_piggy_[key] = value;
+    if (auto* state = owned(key)) state->last_piggy[id(key)] = value;
   }
   for (const auto& [key, entries] : image.rpv) {
-    if (!owned(key)) continue;
-    rpv_.try_emplace(key, config_->rpv)
-        .first->second.restore_entries(entries);
+    if (auto* state = owned(key)) {
+      state->rpv.try_emplace(id(key), config_->rpv)
+          .first->second.restore_entries(entries);
+    }
   }
 }
 

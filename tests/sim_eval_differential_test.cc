@@ -10,7 +10,8 @@
 // including a non-empty static RPV and enabled = false) and a random
 // EvalConfig (RPV, min-interval, small candidate budgets), and requires
 // PredictionEvaluator and ParallelEvaluator at 1, 2 and 4 threads to
-// match the reference counter for counter.
+// match the reference counter for counter. A second test round-trips the
+// accumulator's exported state image through source-sharded imports.
 #include <algorithm>
 #include <array>
 #include <cstdint>
@@ -25,6 +26,7 @@
 #include "sim/eval_core.h"
 #include "sim/parallel_eval.h"
 #include "sim/prediction_eval.h"
+#include "trace/stream.h"
 #include "util/rng.h"
 #include "volume/directory.h"
 #include "volume/pair_counter.h"
@@ -43,7 +45,10 @@ std::string numbered(const char* prefix, std::uint64_t n) {
   return out;
 }
 
-trace::Trace random_trace(util::Rng& rng) {
+// With `idle_sources`, a source name that makes no request is interned
+// before each active one, so the source ids have gaps, and the first
+// request comes from the largest id in the table.
+trace::Trace random_trace(util::Rng& rng, bool idle_sources = false) {
   static constexpr const char* kExtensions[] = {".html", ".gif", ".txt"};
   std::vector<std::string> paths;
   const auto resources = rng.below(37) + 4;
@@ -58,10 +63,18 @@ trace::Trace random_trace(util::Rng& rng) {
   const auto sources = rng.below(12) + 1;
   const auto requests = rng.between(50, 1500);
   trace::Trace trace;
+  if (idle_sources) {
+    for (std::uint64_t i = 0; i < sources; ++i) {
+      trace.sources().intern(numbered("idle", i));
+      trace.sources().intern(numbered("p", i));
+    }
+  }
   util::Seconds now = 0;
   for (std::int64_t i = 0; i < requests; ++i) {
     now += rng.between(0, 24);
-    trace.add({now}, numbered("p", rng.below(sources)),
+    const auto source =
+        idle_sources && i == 0 ? sources - 1 : rng.below(sources);
+    trace.add({now}, numbered("p", source),
               numbered("h", rng.below(servers)),
               paths[rng.below(paths.size())], trace::Method::kGet, 200,
               rng.below(20000), rng.between(-1, now));
@@ -224,6 +237,77 @@ TEST(EvalDifferential, LazyEvaluatorsMatchEagerReference) {
   // The draws must leave enough trials that send something, or the
   // comparison is vacuous.
   EXPECT_GE(trials_sending, kTrials / 4);
+}
+
+// The image with every table sorted by key, so images exported from
+// different accumulators compare as sets.
+sim::detail::EvalStateImage key_sorted(sim::detail::EvalStateImage image) {
+  const auto by_key = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  std::sort(image.resource_state.begin(), image.resource_state.end(), by_key);
+  std::sort(image.last_piggy.begin(), image.last_piggy.end(), by_key);
+  std::sort(image.rpv.begin(), image.rpv.end(), by_key);
+  return image;
+}
+
+// A replayed accumulator's state, exported, imported into 1 and 3
+// accumulators split by source_shard, and re-exported, is the same image:
+// no entry is lost, duplicated or moved to another source, including for
+// idle source ids and the largest id in the table.
+TEST(EvalDifferential, StateImageRoundTripsThroughSourceShards) {
+  constexpr int kRoundTripTrials = 40;
+  int trials_with_rpv = 0;
+  int trials_with_last_piggy = 0;
+  for (int trial = 0; trial < kRoundTripTrials; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    util::Rng rng(0x7a11ed + static_cast<std::uint64_t>(trial));
+    auto trace = random_trace(rng, /*idle_sources=*/true);
+    trace.sort_by_time();
+    const auto config = random_config(rng);
+    const server::TraceMetaOracle meta(trace);
+    volume::DirectoryVolumeConfig dvc;
+    dvc.level = static_cast<int>(rng.between(0, 2));
+    volume::DirectoryVolumes provider(dvc);
+    provider.bind_paths(trace.paths());
+    trace::MaterializedTraceView view(trace);
+    sim::detail::MetricAccumulator replayed(config);
+    sim::detail::replay_inline(config, view, provider, meta, 0, trace.size(),
+                               replayed);
+    sim::detail::EvalStateImage original;
+    replayed.export_state(original);
+    original = key_sorted(std::move(original));
+    if (!original.rpv.empty()) ++trials_with_rpv;
+    if (!original.last_piggy.empty()) ++trials_with_last_piggy;
+    const auto largest = trace.sources().size() - 1;
+    ASSERT_FALSE(original.resource_state.empty());
+    EXPECT_EQ(original.resource_state.back().first >> 32, largest);
+
+    for (const std::size_t shards : {1u, 3u}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards");
+      std::vector<sim::detail::MetricAccumulator> parts(
+          shards, sim::detail::MetricAccumulator(config));
+      for (std::size_t s = 0; s < shards; ++s) {
+        parts[s].import_state(
+            original,
+            [s, shards](util::InternId source) {
+              return sim::source_shard(source, shards) == s;
+            },
+            /*take_counters=*/s == 0);
+      }
+      sim::detail::EvalStateImage merged;
+      for (const auto& part : parts) part.export_state(merged);
+      merged = key_sorted(std::move(merged));
+      EXPECT_EQ(counters(merged.counters), counters(original.counters));
+      EXPECT_EQ(merged.resource_state, original.resource_state);
+      EXPECT_EQ(merged.last_piggy, original.last_piggy);
+      EXPECT_EQ(merged.rpv, original.rpv);
+    }
+  }
+  // Every table must be non-empty in some trials, or its round trip is
+  // vacuous.
+  EXPECT_GE(trials_with_rpv, kRoundTripTrials / 4);
+  EXPECT_GE(trials_with_last_piggy, kRoundTripTrials / 4);
 }
 
 }  // namespace

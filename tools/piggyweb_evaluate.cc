@@ -38,6 +38,7 @@
 #include "sim/report.h"
 #include "trace_load.h"
 #include "util/expect.h"
+#include "util/thread_pool.h"
 #include "volume/directory.h"
 #include "volume/pair_counter.h"
 #include "volume/probability.h"
@@ -148,6 +149,17 @@ int main(int argc, char** argv) {
       tools::make_run_scope(flags, "piggyweb_evaluate", argc, argv);
 
   const auto threads_flag = flags.get_int("threads");
+  // Not clamped (results are identical at any value), only flagged: every
+  // worker replays the whole volume state, so workers beyond the cores
+  // add work and no parallelism.
+  const auto cores = util::ThreadPool::hardware_threads();
+  if (threads_flag > static_cast<std::int64_t>(cores)) {
+    std::fprintf(stderr,
+                 "note: --threads=%lld exceeds the %zu hardware threads; "
+                 "every worker replays the whole volume state, so this run "
+                 "is slower than one at --threads=%zu\n",
+                 static_cast<long long>(threads_flag), cores, cores);
+  }
   const auto save_state = flags.get_string("save-state");
   const auto load_state = flags.get_string("load-state");
   const auto stop_fraction = flags.get_double("stop-fraction");
@@ -274,6 +286,22 @@ int main(int argc, char** argv) {
     if (snapshot->fingerprint != fingerprint ||
         snapshot->total_requests != total) {
       std::fprintf(stderr, "%s was saved against a different trace\n",
+                   load_state.c_str());
+      return 1;
+    }
+    // Accumulator state is indexed by source id: refuse ids the trace's
+    // source table lacks rather than grow the state to reach them.
+    const auto sources = view->sources().size();
+    const auto unknown_source = [sources](const auto& entries) {
+      return std::any_of(entries.begin(), entries.end(),
+                         [sources](const auto& e) {
+                           return (e.first >> 32) >= sources;
+                         });
+    };
+    const auto& m = snapshot->metrics;
+    if (unknown_source(m.resource_state) || unknown_source(m.last_piggy) ||
+        unknown_source(m.rpv)) {
+      std::fprintf(stderr, "%s names a source the trace does not have\n",
                    load_state.c_str());
       return 1;
     }
